@@ -63,7 +63,6 @@ from .measures import (
 from .profiles import (
     AcceptanceFamily,
     LossProfile,
-    acceptance_contains,
     constant_profile,
     family_member,
     family_member_flat,
@@ -89,7 +88,6 @@ __all__ = [
     "NONINCREASING",
     "RiskReport",
     "TestFunction",
-    "acceptance_contains",
     "certainty_equivalent",
     "conjugate_divergence_witness",
     "constant_profile",

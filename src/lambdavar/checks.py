@@ -325,4 +325,6 @@ def suite_names():
 def run_suite(name: str, trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
+    if trials < 0:
+        raise ValueError(f"trial count must be nonnegative, got {trials}")
     return _SUITES[name](trials, seed, tol)

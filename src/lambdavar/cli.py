@@ -67,20 +67,32 @@ REPORT_SCHEMA = {
 
 
 def read_csv_samples(path: str):
-    samples = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if lineno == 1 and line.lower() == "value":
-                continue
-            try:
-                samples.append(float(line))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a number: {line!r}")
+        lines = fh.read().split("\n")
+    body = lines[1:] if lines[0].strip().lower() == "value" else lines
+    try:
+        samples = [float(s) for s in body if s and not s.isspace()]
+    except ValueError:
+        # float() and str.strip() disagree on a few separator characters, so
+        # the line-by-line parse decides, and names the offending line.
+        samples = _parse_lines(path, lines)
     if not samples:
         raise ValueError(f"{path}: no data")
+    return samples
+
+
+def _parse_lines(path: str, lines):
+    samples = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if lineno == 1 and line.lower() == "value":
+            continue
+        try:
+            samples.append(float(line))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: not a number: {line!r}")
     return samples
 
 
@@ -380,8 +392,18 @@ def cmd_plot(args) -> dict:
 # ---------- entry point ----------
 
 
+def _env_tol() -> float:
+    raw = os.environ.get("LVAR_TOL")
+    if raw is None:
+        return DEFAULT_TOL
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"LVAR_TOL is not a number: {raw!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    tol_default = float(os.environ.get("LVAR_TOL", DEFAULT_TOL))
+    tol_default = _env_tol()
     parser = argparse.ArgumentParser(
         prog="lambdavar",
         description="Risk measures on distributions built from loss profiles.",
@@ -427,9 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report = args.fn(args)
         if args.command == "plot":
             sys.stdout.write(json.dumps(report, indent=2) + "\n")

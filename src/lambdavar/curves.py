@@ -31,15 +31,14 @@ def _interp(xa, ya, xb, yb, x):
 
 
 def _clip01(y):
-    if y < 0.0:
-        if y < -_RANGE_SLACK:
-            raise ValueError(f"value {y} outside [0, 1]")
+    # NaN fails every comparison, so it falls through to the error.
+    if 0.0 <= y <= 1.0:
+        return y
+    if -_RANGE_SLACK <= y < 0.0:
         return 0.0
-    if y > 1.0:
-        if y > 1.0 + _RANGE_SLACK:
-            raise ValueError(f"value {y} outside [0, 1]")
+    if 1.0 < y <= 1.0 + _RANGE_SLACK:
         return 1.0
-    return y
+    raise ValueError(f"value {y} outside [0, 1]")
 
 
 def _collinear(xa, ya, xb, yb, xc, yc):
@@ -61,7 +60,8 @@ class MonotoneRC:
     induced by decreasing loss profiles.
 
     Instances are canonicalized on construction (redundant breakpoints
-    dropped), so ``==`` is a meaningful exact equality.
+    dropped), so ``==`` is a meaningful exact equality.  Levels must lie in
+    [0, 1] (NaN is rejected); the abscissae must be finite.
     """
 
     points: tuple
@@ -98,6 +98,21 @@ class MonotoneRC:
         object.__setattr__(self, "tail_left", tl)
         object.__setattr__(self, "tail_right", tr)
         object.__setattr__(self, "_xs", tuple(p[0] for p in pts))
+
+    @classmethod
+    def _trusted(cls, points: tuple, tail_left: float, tail_right: float) -> "MonotoneRC":
+        """A nondecreasing curve from data that is already canonical and valid.
+
+        For the outputs of operations that preserve validity by construction;
+        skips the O(n) checks of ``__post_init__``, whose result it must equal.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "tail_left", tail_left)
+        object.__setattr__(self, "tail_right", tail_right)
+        object.__setattr__(self, "orientation", NONDECREASING)
+        object.__setattr__(self, "_xs", tuple(p[0] for p in points))
+        return self
 
     @staticmethod
     def _canonical(pts, tl, tr):
@@ -146,27 +161,17 @@ class MonotoneRC:
 
     def __call__(self, x: float) -> float:
         """Right-continuous value at x."""
-        i = bisect.bisect_right(self._xs, x) - 1
-        if i < 0:
-            return self.tail_left
-        xi, _, vi = self.points[i]
-        if x == xi or i == len(self.points) - 1:
-            return vi if x == xi else self.tail_right
-        xj, lj, _ = self.points[i + 1]
-        return _interp(xi, vi, xj, lj, x)
+        k = bisect.bisect_right(self._xs, x)
+        if k and self._xs[k - 1] == x:
+            return self.points[k - 1][2]
+        return _off_breakpoint(self, k, x)[1]
 
     def left_limit(self, x: float) -> float:
         """Limit from the left at x."""
-        i = bisect.bisect_left(self._xs, x) - 1
-        if i < 0:
-            return self.tail_left
-        if i + 1 < len(self.points) and self.points[i + 1][0] == x:
-            return self.points[i + 1][1]
-        xi, _, vi = self.points[i]
-        if i == len(self.points) - 1:
-            return vi
-        xj, lj, _ = self.points[i + 1]
-        return _interp(xi, vi, xj, lj, x)
+        k = bisect.bisect_left(self._xs, x)
+        if k < len(self._xs) and self._xs[k] == x:
+            return self.points[k][1] if k else self.tail_left
+        return _off_breakpoint(self, k, x)[0]
 
     def jump(self, x: float) -> float:
         i = bisect.bisect_left(self._xs, x)
@@ -215,8 +220,55 @@ class MonotoneRC:
         )
 
 
-def merged_xs(f: MonotoneRC, g: MonotoneRC):
-    return sorted(set(f._xs) | set(g._xs))
+def _off_breakpoint(curve: MonotoneRC, k: int, x: float):
+    """(left limit, value) at x, strictly between breakpoints k - 1 and k.
+
+    The one evaluation rule off the breakpoints, shared by ``__call__``,
+    ``left_limit`` and the merge walk so that all three agree float for float.
+    """
+    pts = curve.points
+    if k == 0:
+        return curve.tail_left, curve.tail_left
+    if k == len(pts):
+        return pts[-1][2], curve.tail_right
+    xa, _, ya = pts[k - 1]
+    xb, yb, _ = pts[k]
+    y = _interp(xa, ya, xb, yb, x)
+    return y, y
+
+
+def _walk(f: MonotoneRC, g: MonotoneRC):
+    """Merged breakpoints of f and g, left to right, generated lazily.
+
+    Yields ``(x, f_left, f_value, g_left, g_value)`` at every abscissa that
+    is a breakpoint of either curve.  Two pointers advance through both
+    breakpoint lists, so reaching the k-th merged point costs O(k) and a
+    scan that stops early never touches the rest.  On a tie the abscissa of
+    f is reported, and a left limit at a curve's first breakpoint is its
+    ``tail_left``, as ``left_limit`` reports it.
+    """
+    fp, gp = f.points, g.points
+    nf, ng = len(fp), len(gp)
+    i = j = 0
+    while i < nf or j < ng:
+        xf = fp[i][0] if i < nf else math.inf
+        xg = gp[j][0] if j < ng else math.inf
+        x = xf if xf <= xg else xg
+        if xf == x:
+            _, fl, fv = fp[i]
+            if i == 0:
+                fl = f.tail_left
+            i += 1
+        else:
+            fl, fv = _off_breakpoint(f, i, x)
+        if xg == x:
+            _, gl, gv = gp[j]
+            if j == 0:
+                gl = g.tail_left
+            j += 1
+        else:
+            gl, gv = _off_breakpoint(g, j, x)
+        yield x, fl, fv, gl, gv
 
 
 def _piece_at(curve: MonotoneRC, lo: float):
@@ -280,8 +332,8 @@ def pointwise_leq(f: MonotoneRC, g: MonotoneRC) -> bool:
     """
     if f.tail_left > g.tail_left or f.tail_right > g.tail_right:
         return False
-    for x in merged_xs(f, g):
-        if f.left_limit(x) > g.left_limit(x) or f(x) > g(x):
+    for _, fl, fv, gl, gv in _walk(f, g):
+        if fl > gl or fv > gv:
             return False
     return True
 
@@ -290,16 +342,16 @@ def first_above(f: MonotoneRC, g: MonotoneRC):
     """Infimum of {x : f(x) > g(x)}, computed exactly.
 
     Returns None when f <= g everywhere, and -inf when f exceeds g already on
-    a left tail (the strict-exceedance set is unbounded below).
+    a left tail (the strict-exceedance set is unbounded below).  The scan
+    stops at the first merged breakpoint that decides the answer.
     """
     if f.tail_left > g.tail_left:
         return -math.inf
-    xs = merged_xs(f, g)
     prev = None
-    for x in xs:
-        if prev is not None and f.left_limit(x) > g.left_limit(x):
+    for x, fl, fv, gl, gv in _walk(f, g):
+        if prev is not None and fl > gl:
             return _crossing_point(f, g, prev, x)
-        if f(x) > g(x):
+        if fv > gv:
             return x
         prev = x
     return None
@@ -378,27 +430,29 @@ def uniform(a: float, b: float) -> Cdf:
 
 
 def from_samples(xs) -> Cdf:
-    """Empirical distribution of the samples; ties merge into one jump."""
-    xs = [float(x) for x in xs]
+    """Empirical distribution of the samples; ties merge into one jump.
+
+    One sort plus one pass: the jump at each distinct value runs from the
+    share of samples below it to the share at or below it.
+    """
+    xs = list(map(float, xs))
     if not xs:
         raise ValueError("no data")
-    if not all(math.isfinite(x) for x in xs):
+    if not all(map(math.isfinite, xs)):
         raise ValueError("samples must be finite")
     xs.sort()
     n = len(xs)
     pts = []
-    count = 0
-    i = 0
-    while i < n:
-        j = i
-        while j < n and xs[j] == xs[i]:
-            j += 1
-        prev = count / n
-        count += j - i
-        pts.append((xs[i], prev, count / n))
-        i = j
-    pts[-1] = (pts[-1][0], pts[-1][1], 1.0)
-    return Cdf(MonotoneRC(tuple(pts), 0.0, 1.0))
+    start = 0
+    prev = xs[0]
+    for k, x in enumerate(xs):
+        if x != prev:
+            # samples start .. k - 1 all equal prev
+            pts.append((prev, start / n, k / n))
+            start = k
+            prev = x
+    pts.append((prev, start / n, 1.0))
+    return Cdf(MonotoneRC._trusted(tuple(pts), 0.0, 1.0))
 
 
 def piecewise_cdf(points) -> Cdf:
@@ -415,12 +469,14 @@ def mixture(p: Cdf, q: Cdf, lam: float) -> Cdf:
     if lam == 0.0:
         return q
     co = 1.0 - lam
-    pts = []
-    for x in merged_xs(p.payload, q.payload):
-        left = lam * p.left_limit(x) + co * q.left_limit(x)
-        val = lam * p(x) + co * q(x)
-        pts.append((x, left, val))
-    return Cdf(MonotoneRC(tuple(pts), 0.0, 1.0))
+    # Each level rounds a convex combination of levels in [0, 1], and
+    # lam + (1.0 - lam) rounds to exactly 1, so no level leaves [0, 1];
+    # rounding can still make neighbours collinear.
+    pts = [
+        (x, lam * pl + co * ql, lam * pv + co * qv)
+        for x, pl, pv, ql, qv in _walk(p.payload, q.payload)
+    ]
+    return Cdf(MonotoneRC._trusted(tuple(MonotoneRC._canonical(pts, 0.0, 1.0)), 0.0, 1.0))
 
 
 def truncate_left(g: MonotoneRC, c: float) -> Cdf:
@@ -431,9 +487,16 @@ def truncate_left(g: MonotoneRC, c: float) -> Cdf:
     """
     if g.tail_right != 1.0:
         raise ValueError("truncation requires a curve reaching 1")
-    pts = [(float(c), 0.0, g(c))]
+    c = float(c)
+    if not math.isfinite(c):
+        raise ValueError("truncation point must be finite")
+    # interpolation may round 1 ulp past the end level of a piece
+    pts = [(c, 0.0, _clip01(g(c)))]
     pts.extend(p for p in g.points if p[0] > c)
-    return Cdf(MonotoneRC(tuple(pts), 0.0, 1.0))
+    pts = MonotoneRC._canonical(pts, 0.0, 1.0)
+    if g.orientation != NONDECREASING:
+        MonotoneRC._check_monotone(pts, up=True)
+    return Cdf(MonotoneRC._trusted(tuple(pts), 0.0, 1.0))
 
 
 def dominates(p: Cdf, q: Cdf) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curves import Cdf, _crossing_point, first_above, merged_xs
+from .curves import Cdf, _crossing_point, _walk, first_above
 from .dual import ExpNeg, stieltjes
 from .exceptions import BracketError, InfeasibleProfileError
 from .profiles import AcceptanceFamily, LossProfile
@@ -72,21 +72,17 @@ def lambda_var_flat(p: Cdf, profile: LossProfile) -> RiskReport:
     lam = profile.curve
     if f.tail_left > lam.tail_left:
         return RiskReport(math.inf, None, "plus_infinity_tail_dominated")
-    xs = merged_xs(f, lam)
-    m_star = None
-    for prev, x in zip(xs, xs[1:]):
-        if f(prev) > lam(prev):
-            m_star = prev
-            break
-        if f.left_limit(x) > lam(x):
+    prev = None
+    for x, fl, fv, _, lam_x in _walk(f, lam):
+        if prev is not None and fl > lam_x:
             m_star = _crossing_point(f, lam, prev, x)
             break
-    if m_star is None:
-        last = xs[-1]
-        if f(last) > lam(last):
-            m_star = last
-        else:
-            raise AssertionError("feasible profile never violated")
+        if fv > lam_x:
+            m_star = x
+            break
+        prev = x
+    else:
+        raise AssertionError("feasible profile never violated")
     return RiskReport(-m_star, m_star, "finite")
 
 

@@ -205,7 +205,3 @@ class AcceptanceFamily:
         if self.kind == "table" and self.rule == "step-left":
             return m <= self.table[0][0]
         return False
-
-
-def acceptance_contains(family: AcceptanceFamily, m: float, q: Cdf) -> bool:
-    return family.contains(m, q)

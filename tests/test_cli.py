@@ -275,6 +275,12 @@ class TestCheck:
         assert code == 2
         assert "unknown suite" in err
 
+    def test_negative_trials_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "check", "--suite", "mon", "--trials", "-5")
+        assert code == 2
+        assert out == ""
+        assert "nonnegative" in err
+
 
 class TestPlot:
     def test_marker_at_violation(self, capsys, tmp_path, step_json):
@@ -390,8 +396,67 @@ class TestTolEnv:
         )
         assert args.tol == 1e-6
 
+    def test_malformed_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("LVAR_TOL", "abc")
+        code, out, err = run_cli(capsys, "check", "--suite", "mon", "--trials", "1")
+        assert code == 2
+        assert out == ""
+        assert "LVAR_TOL" in err
+
     def test_plus_inf_encoding(self):
         from lambdavar.cli import encode_value
 
         assert encode_value(math.inf) == "+inf"
         assert encode_value(1.5) == 1.5
+
+
+def read_csv_loop(path):
+    """The line-by-line reader that read_csv_samples replaced."""
+    samples = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            if lineno == 1 and line.lower() == "value":
+                continue
+            try:
+                samples.append(float(line))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: not a number: {line!r}")
+    if not samples:
+        raise ValueError(f"{path}: no data")
+    return samples
+
+
+class TestReadCsv:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"value\r\n-1.5\r\n2\r\n",
+            b"\n1\n\n  \n\t\n2\n   \n",
+            b"Value\n1\n2",
+            b" VALUE \n3\n",
+            b"1\nvalue\n2\n",
+            b"1_000\n-2.5e-3\n",
+            b"value\n 4 \n5",
+            b"value\r1\r2\r",
+            b"1\x1c\n2\n",
+            b"value\n",
+            b"",
+            b"1\nnope\n3\n",
+        ],
+    )
+    def test_parity_with_line_loop(self, tmp_path, data):
+        from lambdavar.cli import read_csv_samples
+
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+
+        def outcome(reader):
+            try:
+                return repr(reader(str(path)))
+            except ValueError as exc:
+                return f"ValueError: {exc}"
+
+        assert outcome(read_csv_samples) == outcome(read_csv_loop)

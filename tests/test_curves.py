@@ -4,6 +4,8 @@ import random
 import pytest
 
 from lambdavar import (
+    NONDECREASING,
+    NONINCREASING,
     Cdf,
     MonotoneRC,
     converges_weakly,
@@ -204,6 +206,14 @@ class TestTruncateLeft:
         p = from_samples([0, 1])
         assert truncate_left(p.payload, 5.0) == dirac(5.0)
 
+    def test_rejects_what_is_no_cdf(self, monkeypatch):
+        monkeypatch.undo()  # drop the suite's re-validation of trusted curves
+        dip = MonotoneRC(((0.0, 0.5, 0.5), (1.0, 0.2, 0.2), (2.0, 0.2, 1.0)), 0.5, 1.0, None)
+        with pytest.raises(ValueError, match="orientation"):
+            truncate_left(dip, -1.0)
+        with pytest.raises(ValueError, match="finite"):
+            truncate_left(uniform(0, 1).payload, math.nan)
+
 
 class TestWeakConvergence:
     def test_constant_sequence(self):
@@ -246,6 +256,16 @@ class TestCanonicalForm:
     def test_strictly_increasing_abscissae(self):
         with pytest.raises(ValueError):
             MonotoneRC(((0.0, 0.0, 0.5), (0.0, 0.5, 1.0)), 0.0, 1.0)
+
+    @pytest.mark.parametrize("orientation", [NONDECREASING, NONINCREASING, None])
+    def test_nan_rejected(self, orientation):
+        nan = math.nan
+        with pytest.raises(ValueError):
+            MonotoneRC(((0.0, 0.1, 0.1), (1.0, nan, 0.2)), 0.1, 0.2, orientation)
+        with pytest.raises(ValueError):
+            MonotoneRC(((0.0, 0.1, 0.1), (1.0, 0.2, 0.2)), 0.1, nan, orientation)
+        with pytest.raises(ValueError):
+            MonotoneRC((), nan, nan, orientation)
 
     def test_left_limits_follow_jumps(self):
         p = from_samples([0, 1])
