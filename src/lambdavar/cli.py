@@ -117,10 +117,23 @@ def parse_distribution(obj) -> Cdf:
     raise ValueError(f"unknown distribution type {kind!r}")
 
 
+def _load_json(path: str, parse):
+    """(object, parse(object)) for a JSON file.
+
+    Both ``json.load`` and ``parse_distribution`` recurse once per level of
+    nesting, so input nested past the recursion limit is a parse error.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+            return obj, parse(obj)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def load_distribution(path: str) -> Cdf:
     if path.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_distribution(json.load(fh))
+        return _load_json(path, parse_distribution)[1]
     return from_samples(read_csv_samples(path))
 
 
@@ -142,9 +155,8 @@ def parse_profile(obj) -> LossProfile:
 
 
 def load_profile(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return parse_profile(obj), obj
+    obj, profile = _load_json(path, parse_profile)
+    return profile, obj
 
 
 def file_digest(path: str) -> str:
@@ -254,6 +266,10 @@ def cmd_duality(args) -> dict:
             "index": bound.argmax_function_index,
             "window_start": f_best.points[0][0],
             "width": f_best.points[-1][0] - f_best.points[0][0],
+        },
+        "diagnostics": {
+            "informative_functions": bound.informative,
+            "skipped_functions": bound.skipped,
         },
     }
 

@@ -11,10 +11,19 @@ candidate sweeps cross-check each other throughout.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
-from .curves import Cdf, MonotoneRC, NONDECREASING, _interp, truncate_left, uniform
+from .curves import (
+    Cdf,
+    MonotoneRC,
+    NONDECREASING,
+    _interp,
+    _off_breakpoint,
+    truncate_left,
+    uniform,
+)
 from .exceptions import BracketError, DualRangeError
 from .profiles import AcceptanceFamily, LossProfile
 
@@ -42,13 +51,21 @@ class Identity:
 
 
 class ExpNeg:
-    """x -> exp(-x), with the exact segment antiderivative."""
+    """x -> exp(shift - x), with the exact segment antiderivative.
+
+    The shift scales the function by exp(shift); with the shift at the lower
+    end of a distribution's support every value on the support lies in
+    (0, 1], so nothing overflows and the largest term cannot underflow.
+    """
+
+    def __init__(self, shift: float = 0.0):
+        self.shift = float(shift)
 
     def __call__(self, x: float) -> float:
-        return math.exp(-x)
+        return math.exp(self.shift - x)
 
     def integral(self, u: float, v: float) -> float:
-        return math.exp(-u) - math.exp(-v)
+        return math.exp(self.shift - u) - math.exp(self.shift - v)
 
 
 @dataclass(frozen=True)
@@ -174,27 +191,58 @@ def _as_integrand(g):
     return g
 
 
+def _value(f: MonotoneRC, k: int, x: float) -> float:
+    """f(x), given k = bisect_right(f.xs, x): the rule of ``MonotoneRC.__call__``."""
+    if k and f.xs[k - 1] == x:
+        return f.points[k - 1][2]
+    return _off_breakpoint(f, k, x)[1]
+
+
 def stieltjes(g, f: MonotoneRC, a: float = -math.inf, b: float = math.inf) -> float:
     """Exact integral of g with respect to df over the interval (a, b].
 
     Jumps of f at a are excluded, at b included; affine pieces contribute
     through g's closed-form segment integral.  g may be a number (constant)
     or any object with ``__call__`` and ``integral(u, v)``.
+
+    A ``TestFunction`` is constant outside its nodes x_1..x_k, so only the
+    breakpoints of f in the window (max(a, x_1), min(b, x_k)] are summed;
+    left of the window g weighs the mass F(x_1) - F(a) by its limit at
+    -inf, right of it F(b) - F(x_k) by its limit at +inf.  Two bisections
+    find the window, so the cost is O(log n + window), not O(n).
     """
     g = _as_integrand(g)
-    total = 0.0
+    tails = isinstance(g, TestFunction)
+    if tails:
+        lo = min(max(a, g.points[0][0]), b)
+        hi = max(min(b, g.points[-1][0]), lo)
+    else:
+        lo, hi = a, b
     pts = f.points
-    for x, l, v in pts:
-        if v != l and a < x <= b:
+    i = bisect.bisect_right(f.xs, lo)
+    j = bisect.bisect_right(f.xs, hi)
+    total = 0.0
+    for k in range(i, j):
+        x, l, v = pts[k]
+        if v != l:
             total += g(x) * (v - l)
-    for (xa, _, va), (xb, lb, _) in zip(pts, pts[1:]):
+    for k in range(max(i, 1), min(j + 1, len(pts))):
+        xa, _, va = pts[k - 1]
+        xb, lb, _ = pts[k]
         if lb == va:
             continue
-        u = max(xa, a)
-        v_ = min(xb, b)
+        u = max(xa, lo)
+        v_ = min(xb, hi)
         if u < v_:
             slope = (lb - va) / (xb - xa)
             total += slope * g.integral(u, v_)
+    if tails:
+        if a < lo:
+            f_a = f.tail_left if a == -math.inf else f(a)
+            total += g.limit_left * (_value(f, i, lo) - f_a)
+        if hi < b:
+            f_b = f.tail_right if b == math.inf else f(b)
+            total += g.limit_right * (f_b - _value(f, j, hi))
     return total
 
 
@@ -220,9 +268,9 @@ def _profile_pieces(f: TestFunction, lam: MonotoneRC):
     fpts = f.points
     if len(fpts) < 2:
         return []
-    inner = sorted(
-        set(x for x, _ in fpts) | set(x for x in lam.xs if fpts[0][0] < x < fpts[-1][0])
-    )
+    lo = bisect.bisect_right(lam.xs, fpts[0][0])
+    hi = bisect.bisect_left(lam.xs, fpts[-1][0])
+    inner = sorted(set(x for x, _ in fpts) | set(lam.xs[lo:hi]))
     pieces = []
     for p, q in zip(inner, inner[1:]):
         slope = (f(q) - f(p)) / (q - p)
@@ -236,9 +284,13 @@ def gamma_increasing(m: float, f: TestFunction, profile: LossProfile) -> float:
     profile.require_feasible()
     if not profile.is_nondecreasing:
         raise ValueError("requires a nondecreasing profile")
+    return _gamma_from_pieces(m, f, _profile_pieces(f, profile.curve))
+
+
+def _gamma_from_pieces(m: float, f: TestFunction, pieces) -> float:
     upper = -m
     total = f.limit_left
-    for p, q, slope, c0, c1 in _profile_pieces(f, profile.curve):
+    for p, q, slope, c0, c1 in pieces:
         if slope == 0.0 or p >= upper:
             continue
         if q <= upper:
@@ -262,10 +314,24 @@ def gamma_decreasing(m: float, f: TestFunction, profile: LossProfile) -> float:
 
 
 def profile_gamma(profile: LossProfile):
-    """The (m, f) -> gamma callable matching the profile's orientation."""
-    if profile.is_nondecreasing:
-        return lambda m, f: gamma_increasing(m, f, profile)
-    return lambda m, f: gamma_decreasing(m, f, profile)
+    """The (m, f) -> gamma callable matching the profile's orientation.
+
+    For a nondecreasing profile the pieces of f against the profile are
+    built once per test function: the callable keeps those of the last f it
+    saw, since the bisection in ``risk_lower_bound_from_gamma`` asks for
+    many levels m with one f.
+    """
+    if not profile.is_nondecreasing:
+        return lambda m, f: gamma_decreasing(m, f, profile)
+    cache = [None, None]  # the last f, and its pieces
+
+    def gamma(m, f):
+        if cache[0] is not f:
+            profile.require_feasible()
+            cache[:] = f, _profile_pieces(f, profile.curve)
+        return _gamma_from_pieces(m, f, cache[1])
+
+    return gamma
 
 
 def gamma_bruteforce(m: float, f: TestFunction, risk, candidates) -> float:
@@ -386,10 +452,20 @@ def min_risk_at_integral(t: float, f: TestFunction, risk, candidates) -> float:
 
 @dataclass(frozen=True)
 class DualBoundReport:
+    """The best bound and how many test functions gave one.
+
+    ``skipped`` counts the functions that carried no information, by reason:
+    ``"bracket"`` (``BracketError``), ``"range"`` (``DualRangeError``) and
+    ``"inf"`` (an empty level set, bound +inf).  With ``informative`` they
+    sum to the size of the family.
+    """
+
     phi_value: float
     best_lower_bound: float
     gap: float
     argmax_function_index: int
+    informative: int
+    skipped: dict
 
 
 def representation_bound(
@@ -402,8 +478,10 @@ def representation_bound(
     """Best certified lower bound for risk(P) over a family of test functions.
 
     For each f the bound is the gamma left inverse at the integral of f under
-    P; functions whose bracket fails carry no information and are skipped.
-    The gap to the primal value is nonnegative on every input (weak duality).
+    P; functions whose bracket fails, whose integral is out of gamma's range
+    or whose bound is +inf carry no information, and the report counts them
+    by reason.  The gap to the primal value is nonnegative on every input
+    (weak duality).
     """
     fs = list(fs)
     if not fs:
@@ -411,22 +489,30 @@ def representation_bound(
     phi = risk(p)
     best = None
     best_i = -1
+    informative = 0
+    skipped = {"bracket": 0, "range": 0, "inf": 0}
     for i, f in enumerate(fs):
         t = stieltjes(f, p.payload)
         try:
             bound = risk_lower_bound_from_gamma(
                 t, f, lambda m: gamma(m, f), tol=tol
             )
-        except (BracketError, DualRangeError):
+        except BracketError:
+            skipped["bracket"] += 1
+            continue
+        except DualRangeError:
+            skipped["range"] += 1
             continue
         if math.isinf(bound):
+            skipped["inf"] += 1
             continue
+        informative += 1
         if best is None or bound > best:
             best = bound
             best_i = i
     if best is None:
         raise BracketError("no informative test function in the family")
-    return DualBoundReport(phi, best, phi - best, best_i)
+    return DualBoundReport(phi, best, phi - best, best_i, informative, skipped)
 
 
 def conjugate_divergence_witness(risk, f: TestFunction, n_max: int) -> float:

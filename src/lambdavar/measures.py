@@ -22,8 +22,6 @@ from .dual import ExpNeg, stieltjes
 from .exceptions import BracketError, InfeasibleProfileError
 from .profiles import AcceptanceFamily, LossProfile
 
-_EXP_NEG = ExpNeg()
-
 
 @dataclass(frozen=True)
 class RiskReport:
@@ -100,14 +98,19 @@ def certainty_equivalent(p: Cdf, f) -> float:
     """-f^{-1}(integral of f dP) for a strictly decreasing continuous f.
 
     f must expose ``__call__`` and an exact ``integral(u, v)``; the inverse
-    is found by bisection to 1e-12 on a bracket grown geometrically from the
-    support hull.
+    is found by bisection, down to adjacent floats or 200 halvings, on a
+    bracket grown geometrically from the support hull.  An exponential
+    utility (``ExpNeg``) is re-based at the support's lower end: scaling f
+    by a positive factor leaves the certainty equivalent unchanged, and the
+    re-based values neither overflow nor underflow to 0 on the support.
     """
-    integral = stieltjes(f, p.payload)
     lo = p.support_lower
     hi = p.support_upper
     if lo == hi:
         return -lo
+    if isinstance(f, ExpNeg):
+        f = ExpNeg(lo)
+    integral = stieltjes(f, p.payload)
     span = max(1.0, hi - lo)
     grow = 0
     while f(lo) < integral:
@@ -123,8 +126,10 @@ def certainty_equivalent(p: Cdf, f) -> float:
         grow += 1
         if grow > 200:
             raise ValueError("not invertible at integral value")
-    while hi - lo > 1e-12:
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if f(mid) >= integral:
             lo = mid
         else:
@@ -133,8 +138,14 @@ def certainty_equivalent(p: Cdf, f) -> float:
 
 
 def entropic(p: Cdf) -> float:
-    """log of the exact integral of exp(-x) dP; cash additive."""
-    return math.log(stieltjes(_EXP_NEG, p.payload))
+    """log of the exact integral of exp(-x) dP; cash additive.
+
+    Computed as -s + log of the integral of exp(-(x - s)) dP with s the
+    lower end of the support (the log-sum-exp form), so that no exponential
+    overflows and the integral stays in (0, 1].
+    """
+    s = p.support_lower
+    return math.log(stieltjes(ExpNeg(s), p.payload)) - s
 
 
 def risk_from_family(

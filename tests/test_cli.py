@@ -245,6 +245,18 @@ class TestDuality:
         )
         assert report["gap"] >= 0.0
 
+    @pytest.mark.parametrize("functions", ["1", "7", "60"])
+    def test_diagnostics_count_every_function(self, capsys, losses_csv, step_json, functions):
+        report = run_report(
+            capsys, "duality", "--data", losses_csv, "--profile", step_json,
+            "--functions", functions, "--delta", "0.5",
+        )
+        diag = report["diagnostics"]
+        assert set(diag["skipped_functions"]) == {"bracket", "range", "inf"}
+        assert diag["informative_functions"] >= 1
+        total = diag["informative_functions"] + sum(diag["skipped_functions"].values())
+        assert total == int(functions)
+
 
 class TestCheck:
     def test_reductions_clean(self, capsys):
@@ -384,6 +396,46 @@ class TestExitCodes:
         assert code == 4
         assert "out of range" in err
         assert out == ""
+
+
+    @pytest.mark.parametrize("kind", ["distribution", "profile"])
+    def test_deep_nesting_exits_2(self, capsys, losses_csv, tmp_path, kind):
+        # json.load and parse_distribution recurse once per level
+        if kind == "distribution":
+            dirac = '{"type": "dirac", "x": 1.0}'
+            text = dirac
+            for _ in range(5000):
+                text = f'{{"type": "mixture", "p": {text}, "q": {dirac}, "lambda": 0.5}}'
+            argv = ["--data", write(tmp_path, "deep.json", text), "--measure", "worst-case"]
+        else:
+            points = "[" * 5000 + "]" * 5000
+            prof = write(
+                tmp_path, "deep.json",
+                f'{{"type": "piecewise", "points": {points}, "tails": [0.1, 0.1], '
+                '"orientation": "nondecreasing"}',
+            )
+            argv = ["--data", losses_csv, "--profile", prof, "--measure", "lambda-var"]
+        code, out, err = run_cli(capsys, "compute", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "nested too deeply" in err
+
+    @pytest.mark.parametrize(
+        "samples, measure, expected",
+        [
+            ("-1000\n0\n", "entropic", 1000.0 + math.log(0.5)),
+            ("-1000\n0\n", "certainty-eq", 1000.0 + math.log(0.5)),
+            ("1000000\n1000001\n", "entropic", -1e6 + math.log((1 + math.exp(-1)) / 2)),
+            ("1000000\n1000001\n", "certainty-eq", -1e6 + math.log((1 + math.exp(-1)) / 2)),
+        ],
+    )
+    def test_exponential_measures_far_from_zero(
+        self, capsys, tmp_path, samples, measure, expected
+    ):
+        # exp(1000) overflows and exp(-10**6) underflows unless re-based
+        data = write(tmp_path, "far.csv", samples)
+        report = run_report(capsys, "compute", "--data", data, "--measure", measure)
+        assert report["value"] == pytest.approx(expected, abs=1e-9)
 
 
 class TestTolEnv:

@@ -164,6 +164,13 @@ class TestCertaintyEquivalent:
         # integral is 0, and f^{-1}(0) = 0
         assert certainty_equivalent(p, f) == pytest.approx(0.0, abs=1e-11)
 
+    def test_bisection_ends_where_an_ulp_exceeds_1e_12(self):
+        # near 10**6 one ulp is about 1.2e-10; a loop that waits for a width
+        # of 1e-12 stops moving between two adjacent floats and never ends
+        f = dual.TestFunction(((1e6 - 5.0, 1.0), (1e6 + 5.0, -1.0)))
+        p = from_samples([1e6, 1e6 + 1.0])
+        assert certainty_equivalent(p, f) == -1e6 - 0.5
+
     def test_not_invertible(self):
         class Inconsistent:
             # claims far more area than its values allow, so the target
