@@ -299,7 +299,7 @@ def _svg_path(points) -> str:
 
 def _curve_polyline(curve, x_lo, x_hi):
     pts = [(x_lo, curve(x_lo))]
-    for x, l, v in curve.points:
+    for x, l, v in zip(curve.xs, curve.lefts, curve.values):
         if x_lo < x < x_hi:
             pts.append((x, l))
             pts.append((x, v))
@@ -311,7 +311,7 @@ def render_plot(p: Cdf, profile: LossProfile, x_star: float) -> str:
     width, height = 800, 600
     mx, my = 70, 50
     xs = [p.support_lower, p.support_upper, x_star]
-    xs.extend(x for x, _, _ in profile.curve.points)
+    xs.extend(profile.curve.xs)
     x_lo, x_hi = min(xs), max(xs)
     pad = 0.15 * max(1.0, x_hi - x_lo)
     x_lo -= pad

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, compress, islice, repeat
+from operator import ne, truediv
 
 NONDECREASING = "nondecreasing"
 NONINCREASING = "nonincreasing"
@@ -45,15 +47,20 @@ def _collinear(xa, ya, xb, yb, xc, yc):
     return (yb - ya) * (xc - xb) == (yc - yb) * (xb - xa)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MonotoneRC:
     """Right-continuous piecewise-linear function R -> [0, 1] with jumps.
 
-    ``points`` is an ordered tuple of ``(x, left_limit, value)`` triples.  The
-    function equals ``tail_left`` on ``(-inf, x_1)``, ``tail_right`` on
+    ``MonotoneRC(points, tail_left, tail_right, orientation)`` takes an
+    ordered sequence of ``(x, left_limit, value)`` triples.  The function
+    equals ``tail_left`` on ``(-inf, x_1)``, ``tail_right`` on
     ``[x_N, +inf)``, is affine between consecutive breakpoints, and at each
     breakpoint takes ``value`` (the left limit is stored separately, so jumps
     are ``value - left_limit``).
+
+    The breakpoints are stored as three parallel tuples: ``xs`` (strictly
+    increasing abscissae), ``lefts`` (left limits) and ``values``.
+    ``points`` rebuilds the triples from them on each access.
 
     ``orientation`` selects which monotonicity is enforced; ``None`` skips the
     check entirely, which is needed for the non-monotone acceptance boundaries
@@ -64,93 +71,85 @@ class MonotoneRC:
     [0, 1] (NaN is rejected); the abscissae must be finite.
     """
 
-    points: tuple
+    xs: tuple
+    lefts: tuple
+    values: tuple
     tail_left: float
     tail_right: float
     orientation: str | None = NONDECREASING
-    _xs: tuple = field(init=False, repr=False, compare=False, default=())
 
-    def __post_init__(self):
-        pts = [(float(x), _clip01(float(l)), _clip01(float(v))) for x, l, v in self.points]
-        tl = _clip01(float(self.tail_left))
-        tr = _clip01(float(self.tail_right))
+    def __init__(self, points, tail_left, tail_right, orientation=NONDECREASING):
+        pts = [(float(x), _clip01(float(l)), _clip01(float(v))) for x, l, v in points]
+        tl = _clip01(float(tail_left))
+        tr = _clip01(float(tail_right))
         for x, _, _ in pts:
             if not math.isfinite(x):
                 raise ValueError("breakpoint abscissae must be finite")
         for a, b in zip(pts, pts[1:]):
             if not a[0] < b[0]:
                 raise ValueError("breakpoint abscissae must be strictly increasing")
-        pts = self._canonical(pts, tl, tr)
-        if pts:
-            if pts[0][1] != tl:
+        xs, ls, vs = self._canonical(pts, tl, tr)
+        if xs:
+            if ls[0] != tl:
                 raise ValueError("left limit of first breakpoint must equal tail_left")
-            if pts[-1][2] != tr:
+            if vs[-1] != tr:
                 raise ValueError("value of last breakpoint must equal tail_right")
         elif tl != tr:
             raise ValueError("a curve without breakpoints must be constant")
-        if self.orientation == NONDECREASING:
-            self._check_monotone(pts, up=True)
-        elif self.orientation == NONINCREASING:
-            self._check_monotone(pts, up=False)
-        elif self.orientation is not None:
-            raise ValueError(f"unknown orientation {self.orientation!r}")
-        object.__setattr__(self, "points", tuple(pts))
-        object.__setattr__(self, "tail_left", tl)
-        object.__setattr__(self, "tail_right", tr)
-        object.__setattr__(self, "_xs", tuple(p[0] for p in pts))
+        if orientation == NONDECREASING:
+            self._check_monotone(ls, vs, up=True)
+        elif orientation == NONINCREASING:
+            self._check_monotone(ls, vs, up=False)
+        elif orientation is not None:
+            raise ValueError(f"unknown orientation {orientation!r}")
+        self._fill(xs, ls, vs, tl, tr, orientation)
 
-    @classmethod
-    def _trusted(cls, points: tuple, tail_left: float, tail_right: float) -> "MonotoneRC":
-        """A nondecreasing curve from data that is already canonical and valid.
-
-        For the outputs of operations that preserve validity by construction;
-        skips the O(n) checks of ``__post_init__``, whose result it must equal.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "points", points)
+    def _fill(self, xs, lefts, values, tail_left, tail_right, orientation):
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "lefts", lefts)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "tail_left", tail_left)
         object.__setattr__(self, "tail_right", tail_right)
-        object.__setattr__(self, "orientation", NONDECREASING)
-        object.__setattr__(self, "_xs", tuple(p[0] for p in points))
+        object.__setattr__(self, "orientation", orientation)
+
+    @classmethod
+    def _trusted(cls, xs: tuple, lefts: tuple, values: tuple,
+                 tail_left: float, tail_right: float) -> "MonotoneRC":
+        """A nondecreasing curve from columns already canonical and valid.
+
+        For the outputs of operations that preserve validity by construction;
+        skips the O(n) checks of ``__init__``, whose result it must equal.
+        """
+        self = object.__new__(cls)
+        self._fill(xs, lefts, values, tail_left, tail_right, NONDECREASING)
         return self
 
     @staticmethod
-    def _canonical(pts, tl, tr):
-        # Drop continuous breakpoints that are exactly collinear with their
-        # neighbours, then flat endpoints that merge into a constant tail.
-        out = []
-        for p in pts:
-            out.append(p)
-            while len(out) >= 3:
-                (xa, _, ya), (xb, lb, vb), (xc, lc, _) = out[-3], out[-2], out[-1]
-                if lb == vb and _collinear(xa, ya, xb, vb, xc, lc):
-                    del out[-2]
-                else:
-                    break
-        while len(out) >= 2:
-            x0, l0, v0 = out[0]
-            if l0 == v0 == tl and out[1][1] == v0:
-                del out[0]
-            else:
-                break
-        while len(out) >= 2:
-            xn, ln, vn = out[-1]
-            if ln == vn == tr and out[-2][2] == ln:
-                del out[-1]
-            else:
-                break
-        if len(out) == 1:
-            x0, l0, v0 = out[0]
-            if l0 == v0 == tl == tr:
-                out = []
-        return out
+    def _canonical(triples, tl, tr):
+        """Canonical columns ``(xs, lefts, values)`` of breakpoint triples.
+
+        Drops continuous breakpoints that are exactly collinear with their
+        neighbours, then flat endpoints that merge into a constant tail.
+        """
+        xs, ls, vs = [], [], []
+        for x, l, v in triples:
+            xs.append(x)
+            ls.append(l)
+            vs.append(v)
+            while (
+                len(xs) >= 3
+                and ls[-2] == vs[-2]
+                and _collinear(xs[-3], vs[-3], xs[-2], vs[-2], xs[-1], ls[-1])
+            ):
+                del xs[-2], ls[-2], vs[-2]
+        return _trim_ends(tuple(xs), tuple(ls), tuple(vs), tl, tr)
 
     @staticmethod
-    def _check_monotone(pts, up):
+    def _check_monotone(lefts, values, up):
         def ok(a, b):
             return a <= b if up else a >= b
         prev_v = None
-        for x, l, v in pts:
+        for l, v in zip(lefts, values):
             if not ok(l, v):
                 raise ValueError("breakpoint jump violates orientation")
             if prev_v is not None and not ok(prev_v, l):
@@ -161,63 +160,78 @@ class MonotoneRC:
 
     def __call__(self, x: float) -> float:
         """Right-continuous value at x."""
-        k = bisect.bisect_right(self._xs, x)
-        if k and self._xs[k - 1] == x:
-            return self.points[k - 1][2]
-        return _off_breakpoint(self, k, x)[1]
+        return _value(self, bisect.bisect_right(self.xs, x), x)
 
     def left_limit(self, x: float) -> float:
         """Limit from the left at x."""
-        k = bisect.bisect_left(self._xs, x)
-        if k < len(self._xs) and self._xs[k] == x:
-            return self.points[k][1] if k else self.tail_left
+        k = bisect.bisect_left(self.xs, x)
+        if k < len(self.xs) and self.xs[k] == x:
+            return self.lefts[k] if k else self.tail_left
         return _off_breakpoint(self, k, x)[0]
 
     def jump(self, x: float) -> float:
-        i = bisect.bisect_left(self._xs, x)
-        if i < len(self.points) and self.points[i][0] == x:
-            _, l, v = self.points[i]
-            return v - l
+        i = bisect.bisect_left(self.xs, x)
+        if i < len(self.xs) and self.xs[i] == x:
+            return self.values[i] - self.lefts[i]
         return 0.0
 
     # ---------- summaries ----------
 
     @property
-    def xs(self) -> tuple:
-        return self._xs
+    def points(self) -> tuple:
+        """The breakpoints as ``(x, left_limit, value)`` triples, built anew."""
+        return tuple(zip(self.xs, self.lefts, self.values))
+
+    def _levels(self):
+        # tails first, then each breakpoint's left limit and value, in order
+        pairs = chain.from_iterable(zip(self.lefts, self.values))
+        return chain((self.tail_left, self.tail_right), pairs)
 
     @property
     def sup_value(self) -> float:
-        vals = [self.tail_left, self.tail_right]
-        for _, l, v in self.points:
-            vals.append(l)
-            vals.append(v)
-        return max(vals)
+        return max(self._levels())
 
     @property
     def inf_value(self) -> float:
-        vals = [self.tail_left, self.tail_right]
-        for _, l, v in self.points:
-            vals.append(l)
-            vals.append(v)
-        return min(vals)
+        return min(self._levels())
 
     @property
     def is_continuous(self) -> bool:
-        return all(l == v for _, l, v in self.points)
+        return self.lefts == self.values
 
     def atoms(self):
         """Jump locations and sizes, as (x, mass) pairs."""
-        return [(x, v - l) for x, l, v in self.points if v != l]
+        return [(x, v - l) for x, l, v in zip(self.xs, self.lefts, self.values) if v != l]
 
     def shift_x(self, dx: float) -> "MonotoneRC":
         """Same curve with every breakpoint moved right by dx."""
         return MonotoneRC(
-            tuple((x + dx, l, v) for x, l, v in self.points),
+            zip([x + dx for x in self.xs], self.lefts, self.values),
             self.tail_left,
             self.tail_right,
             self.orientation,
         )
+
+
+def _trim_ends(xs, ls, vs, tl, tr):
+    """Columns without the flat end breakpoints that merge into a tail."""
+    lo, hi = 0, len(xs)
+    while hi - lo >= 2 and ls[lo] == vs[lo] == tl and ls[lo + 1] == vs[lo]:
+        lo += 1
+    while hi - lo >= 2 and ls[hi - 1] == vs[hi - 1] == tr and vs[hi - 2] == ls[hi - 1]:
+        hi -= 1
+    if hi - lo == 1 and ls[lo] == vs[lo] == tl == tr:
+        lo = hi
+    if hi - lo < len(xs):
+        return xs[lo:hi], ls[lo:hi], vs[lo:hi]
+    return xs, ls, vs
+
+
+def _value(curve: MonotoneRC, k: int, x: float) -> float:
+    """The value at x, given k = bisect_right(curve.xs, x)."""
+    if k and curve.xs[k - 1] == x:
+        return curve.values[k - 1]
+    return _off_breakpoint(curve, k, x)[1]
 
 
 def _off_breakpoint(curve: MonotoneRC, k: int, x: float):
@@ -226,14 +240,11 @@ def _off_breakpoint(curve: MonotoneRC, k: int, x: float):
     The one evaluation rule off the breakpoints, shared by ``__call__``,
     ``left_limit`` and the merge walk so that all three agree float for float.
     """
-    pts = curve.points
     if k == 0:
         return curve.tail_left, curve.tail_left
-    if k == len(pts):
-        return pts[-1][2], curve.tail_right
-    xa, _, ya = pts[k - 1]
-    xb, yb, _ = pts[k]
-    y = _interp(xa, ya, xb, yb, x)
+    if k == len(curve.xs):
+        return curve.values[-1], curve.tail_right
+    y = _interp(curve.xs[k - 1], curve.values[k - 1], curve.xs[k], curve.lefts[k], x)
     return y, y
 
 
@@ -247,24 +258,23 @@ def _walk(f: MonotoneRC, g: MonotoneRC):
     f is reported, and a left limit at a curve's first breakpoint is its
     ``tail_left``, as ``left_limit`` reports it.
     """
-    fp, gp = f.points, g.points
-    nf, ng = len(fp), len(gp)
+    fx, fls, fvs = f.xs, f.lefts, f.values
+    gx, gls, gvs = g.xs, g.lefts, g.values
+    nf, ng = len(fx), len(gx)
     i = j = 0
     while i < nf or j < ng:
-        xf = fp[i][0] if i < nf else math.inf
-        xg = gp[j][0] if j < ng else math.inf
+        xf = fx[i] if i < nf else math.inf
+        xg = gx[j] if j < ng else math.inf
         x = xf if xf <= xg else xg
         if xf == x:
-            _, fl, fv = fp[i]
-            if i == 0:
-                fl = f.tail_left
+            fl = fls[i] if i else f.tail_left
+            fv = fvs[i]
             i += 1
         else:
             fl, fv = _off_breakpoint(f, i, x)
         if xg == x:
-            _, gl, gv = gp[j]
-            if j == 0:
-                gl = g.tail_left
+            gl = gls[j] if j else g.tail_left
+            gv = gvs[j]
             j += 1
         else:
             gl, gv = _off_breakpoint(g, j, x)
@@ -279,16 +289,17 @@ def _piece_at(curve: MonotoneRC, lo: float):
     curve's own breakpoints.  Callers guarantee no breakpoint lies strictly
     inside the interval they care about.
     """
-    i = bisect.bisect_right(curve._xs, lo) - 1
+    xs = curve.xs
+    i = bisect.bisect_right(xs, lo) - 1
     if i < 0:
         return ("c", curve.tail_left)
-    xa, _, va = curve.points[i]
-    if i == len(curve.points) - 1:
+    va = curve.values[i]
+    if i == len(xs) - 1:
         return ("c", va)
-    xb, lb, _ = curve.points[i + 1]
+    lb = curve.lefts[i + 1]
     if lb == va:
         return ("c", va)
-    return ("a", (xa, va, xb, lb))
+    return ("a", (xs[i], va, xs[i + 1], lb))
 
 
 def _solve_level(piece, level):
@@ -369,7 +380,7 @@ class Cdf:
             raise ValueError("a CDF must be nondecreasing")
         if p.tail_left != 0.0 or p.tail_right != 1.0:
             raise ValueError("a CDF must have limits 0 and 1")
-        if not p.points:
+        if not p.xs:
             raise ValueError("a CDF must reach 1 at a finite point")
 
     def __call__(self, x: float) -> float:
@@ -384,31 +395,28 @@ class Cdf:
     @property
     def support_lower(self) -> float:
         """Infimum of {x : F(x) > 0}."""
-        pts = self.payload.points
-        for i, (x, _, v) in enumerate(pts):
-            if v > 0.0:
-                return x
-            if i + 1 < len(pts) and pts[i + 1][1] > 0.0:
-                return x
-        raise AssertionError("CDF never leaves 0")
+        # F is 0 left of its first breakpoint and rises at it or on the
+        # piece after it: canonical form drops a first breakpoint at level 0
+        # followed by a flat piece.
+        return self.payload.xs[0]
 
     @property
     def support_upper(self) -> float:
         """Smallest x with F(x) = 1 from there on."""
-        return self.payload.points[-1][0]
+        return self.payload.xs[-1]
 
     def quantile_right(self, u: float) -> float:
         """sup{x : F(x) <= u}, the right-continuous inverse, for u in (0, 1)."""
         if not 0.0 < u < 1.0:
             raise ValueError("quantile level must lie in (0, 1)")
-        pts = self.payload.points
-        for i, (x, l, v) in enumerate(pts):
-            if v > u:
-                if l <= u:
-                    return x
-                xa, _, va = pts[i - 1]
-                return xa + (u - va) * (x - xa) / (l - va)
-        raise AssertionError("CDF never exceeds the requested level")
+        p = self.payload
+        # the first breakpoint whose value exceeds u; the last one has value 1
+        i = bisect.bisect_right(p.values, u)
+        x, l = p.xs[i], p.lefts[i]
+        if l <= u:
+            return x
+        xa, va = p.xs[i - 1], p.values[i - 1]
+        return xa + (u - va) * (x - xa) / (l - va)
 
     def translate(self, m: float) -> "Cdf":
         """Distribution shifted right by m: result(x) = F(x - m)."""
@@ -432,8 +440,10 @@ def uniform(a: float, b: float) -> Cdf:
 def from_samples(xs) -> Cdf:
     """Empirical distribution of the samples; ties merge into one jump.
 
-    One sort plus one pass: the jump at each distinct value runs from the
-    share of samples below it to the share at or below it.
+    One sort, then passes that run in C: the jump at each distinct value runs
+    from the share k / n of samples below it to the share at or below it.
+    The shares form one tuple, so the value at one breakpoint and the left
+    limit at the next are the same float.
     """
     xs = list(map(float, xs))
     if not xs:
@@ -442,17 +452,17 @@ def from_samples(xs) -> Cdf:
         raise ValueError("samples must be finite")
     xs.sort()
     n = len(xs)
-    pts = []
-    start = 0
-    prev = xs[0]
-    for k, x in enumerate(xs):
-        if x != prev:
-            # samples start .. k - 1 all equal prev
-            pts.append((prev, start / n, k / n))
-            start = k
-            prev = x
-    pts.append((prev, start / n, 1.0))
-    return Cdf(MonotoneRC._trusted(tuple(pts), 0.0, 1.0))
+    # steps[k]: sample k + 1 differs from sample k
+    steps = list(map(ne, xs, islice(xs, 1, None)))
+    if all(steps):
+        cuts = range(n + 1)
+    else:
+        firsts = [True, *steps]  # firsts[k]: sample k is the first of its run
+        xs = list(compress(xs, firsts))
+        cuts = list(compress(range(n), firsts))
+        cuts.append(n)
+    shares = tuple(map(truediv, cuts, repeat(n)))
+    return Cdf(MonotoneRC._trusted(tuple(xs), shares[:-1], shares[1:], 0.0, 1.0))
 
 
 def piecewise_cdf(points) -> Cdf:
@@ -472,11 +482,15 @@ def mixture(p: Cdf, q: Cdf, lam: float) -> Cdf:
     # Each level rounds a convex combination of levels in [0, 1], and
     # lam + (1.0 - lam) rounds to exactly 1, so no level leaves [0, 1];
     # rounding can still make neighbours collinear.
-    pts = [
-        (x, lam * pl + co * ql, lam * pv + co * qv)
-        for x, pl, pv, ql, qv in _walk(p.payload, q.payload)
-    ]
-    return Cdf(MonotoneRC._trusted(tuple(MonotoneRC._canonical(pts, 0.0, 1.0)), 0.0, 1.0))
+    xs, ls, vs = MonotoneRC._canonical(
+        (
+            (x, lam * pl + co * ql, lam * pv + co * qv)
+            for x, pl, pv, ql, qv in _walk(p.payload, q.payload)
+        ),
+        0.0,
+        1.0,
+    )
+    return Cdf(MonotoneRC._trusted(xs, ls, vs, 0.0, 1.0))
 
 
 def truncate_left(g: MonotoneRC, c: float) -> Cdf:
@@ -490,13 +504,29 @@ def truncate_left(g: MonotoneRC, c: float) -> Cdf:
     c = float(c)
     if not math.isfinite(c):
         raise ValueError("truncation point must be finite")
+    gx, gl, gv = g.xs, g.lefts, g.values
+    k = bisect.bisect_right(gx, c)
     # interpolation may round 1 ulp past the end level of a piece
-    pts = [(c, 0.0, _clip01(g(c)))]
-    pts.extend(p for p in g.points if p[0] > c)
-    pts = MonotoneRC._canonical(pts, 0.0, 1.0)
+    hx, hl, hv = [c], [0.0], [_clip01(_value(g, k, c))]
+    # g's breakpoints right of c are canonical among themselves, so only a
+    # triple through the new first breakpoint can be collinear: the drops
+    # chain from the front and end at the first triple that keeps its middle.
+    while k < len(gx):
+        hx.append(gx[k])
+        hl.append(gl[k])
+        hv.append(gv[k])
+        k += 1
+        if len(hx) == 3:
+            if hl[1] == hv[1] and _collinear(hx[0], hv[0], hx[1], hv[1], hx[2], hl[2]):
+                del hx[1], hl[1], hv[1]
+            else:
+                break
+    xs, ls, vs = _trim_ends(
+        tuple(hx) + gx[k:], tuple(hl) + gl[k:], tuple(hv) + gv[k:], 0.0, 1.0
+    )
     if g.orientation != NONDECREASING:
-        MonotoneRC._check_monotone(pts, up=True)
-    return Cdf(MonotoneRC._trusted(tuple(pts), 0.0, 1.0))
+        MonotoneRC._check_monotone(ls, vs, up=True)
+    return Cdf(MonotoneRC._trusted(xs, ls, vs, 0.0, 1.0))
 
 
 def dominates(p: Cdf, q: Cdf) -> bool:

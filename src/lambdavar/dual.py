@@ -20,7 +20,7 @@ from .curves import (
     MonotoneRC,
     NONDECREASING,
     _interp,
-    _off_breakpoint,
+    _value,
     truncate_left,
     uniform,
 )
@@ -158,8 +158,8 @@ def negated_cdf(q: Cdf) -> TestFunction:
     """The test function -F_Q for a continuous (atom-free) distribution Q."""
     if not q.payload.is_continuous:
         raise ValueError("requires continuous distribution")
-    pts = [(x, -v) for x, _, v in q.payload.points]
-    return TestFunction(tuple(pts))
+    c = q.payload
+    return TestFunction(tuple(zip(c.xs, [-v for v in c.values])))
 
 
 def ramp_ladder(p: Cdf, count: int, width: float):
@@ -191,13 +191,6 @@ def _as_integrand(g):
     return g
 
 
-def _value(f: MonotoneRC, k: int, x: float) -> float:
-    """f(x), given k = bisect_right(f.xs, x): the rule of ``MonotoneRC.__call__``."""
-    if k and f.xs[k - 1] == x:
-        return f.points[k - 1][2]
-    return _off_breakpoint(f, k, x)[1]
-
-
 def stieltjes(g, f: MonotoneRC, a: float = -math.inf, b: float = math.inf) -> float:
     """Exact integral of g with respect to df over the interval (a, b].
 
@@ -218,19 +211,19 @@ def stieltjes(g, f: MonotoneRC, a: float = -math.inf, b: float = math.inf) -> fl
         hi = max(min(b, g.points[-1][0]), lo)
     else:
         lo, hi = a, b
-    pts = f.points
-    i = bisect.bisect_right(f.xs, lo)
-    j = bisect.bisect_right(f.xs, hi)
+    xs, ls, vs = f.xs, f.lefts, f.values
+    i = bisect.bisect_right(xs, lo)
+    j = bisect.bisect_right(xs, hi)
     total = 0.0
     for k in range(i, j):
-        x, l, v = pts[k]
+        l, v = ls[k], vs[k]
         if v != l:
-            total += g(x) * (v - l)
-    for k in range(max(i, 1), min(j + 1, len(pts))):
-        xa, _, va = pts[k - 1]
-        xb, lb, _ = pts[k]
+            total += g(xs[k]) * (v - l)
+    for k in range(max(i, 1), min(j + 1, len(xs))):
+        va, lb = vs[k - 1], ls[k]
         if lb == va:
             continue
+        xa, xb = xs[k - 1], xs[k]
         u = max(xa, lo)
         v_ = min(xb, hi)
         if u < v_:
@@ -304,11 +297,19 @@ def _gamma_from_pieces(m: float, f: TestFunction, pieces) -> float:
 def gamma_decreasing(m: float, f: TestFunction, profile: LossProfile) -> float:
     """gamma for a continuous nonincreasing profile, via the flat-level family:
     weights f(-m) and f(-inf) by the profile level at -m."""
+    _require_flat_gamma(profile)
+    return _gamma_flat(m, f, profile)
+
+
+def _require_flat_gamma(profile: LossProfile):
     profile.require_feasible()
     if not profile.is_nonincreasing:
         raise ValueError("requires a nonincreasing profile")
     if not profile.is_continuous:
         raise ValueError("requires a continuous profile")
+
+
+def _gamma_flat(m: float, f: TestFunction, profile: LossProfile) -> float:
     level = profile(-m)
     return (1.0 - level) * f(-m) + level * f.limit_left
 
@@ -319,10 +320,21 @@ def profile_gamma(profile: LossProfile):
     For a nondecreasing profile the pieces of f against the profile are
     built once per test function: the callable keeps those of the last f it
     saw, since the bisection in ``risk_lower_bound_from_gamma`` asks for
-    many levels m with one f.
+    many levels m with one f.  For a nonincreasing profile the checks of
+    ``gamma_decreasing`` hold for the profile, not for one call, so the
+    callable runs them at its first call only.
     """
     if not profile.is_nondecreasing:
-        return lambda m, f: gamma_decreasing(m, f, profile)
+        checked = False
+
+        def gamma_flat(m, f):
+            nonlocal checked
+            if not checked:
+                _require_flat_gamma(profile)
+                checked = True
+            return _gamma_flat(m, f, profile)
+
+        return gamma_flat
     cache = [None, None]  # the last f, and its pieces
 
     def gamma(m, f):

@@ -11,6 +11,7 @@ accepting levels.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 from .curves import (
@@ -50,7 +51,7 @@ class LossProfile:
 
     @property
     def is_constant(self) -> bool:
-        return not self.curve.points
+        return not self.curve.xs
 
     @property
     def is_nondecreasing(self) -> bool:
@@ -113,7 +114,8 @@ def family_member(profile: LossProfile, m: float) -> MonotoneRC:
     """Benchmark curve at level m: the profile below m, then 1 from m on."""
     m = float(m)
     c = profile.curve
-    pts = [p for p in c.points if p[0] < m]
+    k = bisect.bisect_left(c.xs, m)
+    pts = list(zip(c.xs[:k], c.lefts[:k], c.values[:k]))
     pts.append((m, c.left_limit(m), 1.0))
     orientation = NONDECREASING if profile.is_nondecreasing else None
     return MonotoneRC(tuple(pts), c.tail_left, 1.0, orientation)

@@ -277,11 +277,11 @@ class TestDualitySandwichSeed7:
 
 
 class _Recording(tuple):
-    """A breakpoint tuple that records every index read from it."""
+    """A level column that records every index read from it into ``read``."""
 
-    def __new__(cls, items):
+    def __new__(cls, items, read):
         self = super().__new__(cls, items)
-        self.read = set()
+        self.read = read
         return self
 
     def __getitem__(self, k):
@@ -295,8 +295,12 @@ class _Recording(tuple):
 
 
 def _recorded(curve):
-    object.__setattr__(curve, "points", _Recording(curve.points))
-    return curve.points
+    # Both level columns share one record.  The abscissae are left alone:
+    # the window is found by bisecting them.
+    read = set()
+    for name in ("lefts", "values"):
+        object.__setattr__(curve, name, _Recording(getattr(curve, name), read))
+    return curve.values
 
 
 class TestReadsOnlyTheWindow:

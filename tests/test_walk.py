@@ -236,17 +236,21 @@ class TestAgainstSetUnionScan:
 
 
 class _Recording(tuple):
-    """A breakpoint tuple that records the highest index read from it."""
+    """A level column that records every index read from it into ``seen``."""
 
-    def __new__(cls, items):
+    def __new__(cls, items, seen):
         self = super().__new__(cls, items)
-        self.highest = -1
+        self.seen = seen
         return self
+
+    @property
+    def highest(self):
+        return max(self.seen, default=-1)
 
     def __getitem__(self, k):
         if not isinstance(k, int):
             raise TypeError("scans read breakpoints one index at a time")
-        self.highest = max(self.highest, k % len(self))
+        self.seen.append(k % len(self))
         return super().__getitem__(k)
 
     def __iter__(self):
@@ -254,8 +258,12 @@ class _Recording(tuple):
 
 
 def _recorded(curve):
-    object.__setattr__(curve, "points", _Recording(curve.points))
-    return curve.points
+    # Both level columns share one record.  The abscissae are left alone:
+    # evaluation bisects them, so their reads say nothing about the scan.
+    seen = []
+    for name in ("lefts", "values"):
+        object.__setattr__(curve, name, _Recording(getattr(curve, name), seen))
+    return curve.values
 
 
 class TestEarlyExit:
@@ -291,4 +299,9 @@ class TestEarlyExit:
 def test_revalidation_fixture_is_active():
     # The raw trusted constructor accepts anything; the fixture re-validates.
     with pytest.raises(ValueError):
-        MonotoneRC._trusted(((0.0, 0.5, 0.2),), 0.5, 0.2)
+        MonotoneRC._trusted((0.0,), (0.5,), (0.2,), 0.5, 0.2)
+    # columns must be tuples of one length
+    with pytest.raises(AssertionError):
+        MonotoneRC._trusted([0.0], [0.0], [1.0], 0.0, 1.0)
+    with pytest.raises(AssertionError):
+        MonotoneRC._trusted((0.0, 1.0), (0.0, 0.5), (0.5,), 0.0, 1.0)
