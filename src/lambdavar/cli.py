@@ -121,7 +121,8 @@ def _load_json(path: str, parse):
     """(object, parse(object)) for a JSON file.
 
     Both ``json.load`` and ``parse_distribution`` recurse once per level of
-    nesting, so input nested past the recursion limit is a parse error.
+    nesting, so input nested past the recursion limit is a parse error.  JSON
+    integers have no size limit, so one that no float can hold is one too.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -129,6 +130,8 @@ def _load_json(path: str, parse):
             return obj, parse(obj)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except OverflowError:
+            raise ValueError(f"{path}: number out of float range") from None
 
 
 def load_distribution(path: str) -> Cdf:
@@ -264,8 +267,8 @@ def cmd_duality(args) -> dict:
         "gap": encode_value(bound.gap),
         "argmax_function": {
             "index": bound.argmax_function_index,
-            "window_start": f_best.points[0][0],
-            "width": f_best.points[-1][0] - f_best.points[0][0],
+            "window_start": f_best.xs[0],
+            "width": f_best.xs[-1] - f_best.xs[0],
         },
         "diagnostics": {
             "informative_functions": bound.informative,

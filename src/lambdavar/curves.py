@@ -88,7 +88,7 @@ class MonotoneRC:
         for a, b in zip(pts, pts[1:]):
             if not a[0] < b[0]:
                 raise ValueError("breakpoint abscissae must be strictly increasing")
-        xs, ls, vs = self._canonical(pts, tl, tr)
+        xs, ls, vs = _trim_ends(*_drop_collinear(pts), tl, tr)
         if xs:
             if ls[0] != tl:
                 raise ValueError("left limit of first breakpoint must equal tail_left")
@@ -123,26 +123,6 @@ class MonotoneRC:
         self = object.__new__(cls)
         self._fill(xs, lefts, values, tail_left, tail_right, NONDECREASING)
         return self
-
-    @staticmethod
-    def _canonical(triples, tl, tr):
-        """Canonical columns ``(xs, lefts, values)`` of breakpoint triples.
-
-        Drops continuous breakpoints that are exactly collinear with their
-        neighbours, then flat endpoints that merge into a constant tail.
-        """
-        xs, ls, vs = [], [], []
-        for x, l, v in triples:
-            xs.append(x)
-            ls.append(l)
-            vs.append(v)
-            while (
-                len(xs) >= 3
-                and ls[-2] == vs[-2]
-                and _collinear(xs[-3], vs[-3], xs[-2], vs[-2], xs[-1], ls[-1])
-            ):
-                del xs[-2], ls[-2], vs[-2]
-        return _trim_ends(tuple(xs), tuple(ls), tuple(vs), tl, tr)
 
     @staticmethod
     def _check_monotone(lefts, values, up):
@@ -211,6 +191,25 @@ class MonotoneRC:
             self.tail_right,
             self.orientation,
         )
+
+
+def _drop_collinear(triples):
+    """Columns ``(xs, lefts, values)`` of breakpoint triples without the
+    continuous breakpoints exactly collinear with their neighbours; the
+    canonical form of every curve, before ``_trim_ends`` for a ``MonotoneRC``.
+    """
+    xs, ls, vs = [], [], []
+    for x, l, v in triples:
+        xs.append(x)
+        ls.append(l)
+        vs.append(v)
+        while (
+            len(xs) >= 3
+            and ls[-2] == vs[-2]
+            and _collinear(xs[-3], vs[-3], xs[-2], vs[-2], xs[-1], ls[-1])
+        ):
+            del xs[-2], ls[-2], vs[-2]
+    return tuple(xs), tuple(ls), tuple(vs)
 
 
 def _trim_ends(xs, ls, vs, tl, tr):
@@ -415,8 +414,7 @@ class Cdf:
         x, l = p.xs[i], p.lefts[i]
         if l <= u:
             return x
-        xa, va = p.xs[i - 1], p.values[i - 1]
-        return xa + (u - va) * (x - xa) / (l - va)
+        return _solve_level((p.xs[i - 1], p.values[i - 1], x, l), u)
 
     def translate(self, m: float) -> "Cdf":
         """Distribution shifted right by m: result(x) = F(x - m)."""
@@ -482,8 +480,8 @@ def mixture(p: Cdf, q: Cdf, lam: float) -> Cdf:
     # Each level rounds a convex combination of levels in [0, 1], and
     # lam + (1.0 - lam) rounds to exactly 1, so no level leaves [0, 1];
     # rounding can still make neighbours collinear.
-    xs, ls, vs = MonotoneRC._canonical(
-        (
+    xs, ls, vs = _trim_ends(
+        *_drop_collinear(
             (x, lam * pl + co * ql, lam * pv + co * qv)
             for x, pl, pv, ql, qv in _walk(p.payload, q.payload)
         ),

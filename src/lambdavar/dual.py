@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 from .curves import (
     Cdf,
     MonotoneRC,
     NONDECREASING,
+    _drop_collinear,
     _interp,
+    _solve_level,
     _value,
     truncate_left,
     uniform,
@@ -68,18 +71,20 @@ class ExpNeg:
         return math.exp(self.shift - u) - math.exp(self.shift - v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TestFunction:
     """Bounded continuous nonincreasing piecewise-linear function.
 
     Constant left of the first node and right of the last, so the limits at
-    -inf and +inf are the first and last ordinates.
+    -inf and +inf are the first and last ordinates.  Stored as the columns of
+    a curve without jumps, ``xs`` and ``values`` (also its left limits).
     """
 
-    points: tuple
+    xs: tuple
+    values: tuple
 
-    def __post_init__(self):
-        pts = tuple((float(x), float(y)) for x, y in self.points)
+    def __init__(self, points):
+        pts = tuple((float(x), float(y)) for x, y in points)
         if not pts:
             raise ValueError("a test function needs at least one node")
         for (xa, ya), (xb, yb) in zip(pts, pts[1:]):
@@ -90,45 +95,37 @@ class TestFunction:
         for x, y in pts:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError("nodes must be finite")
-        out = []
-        for p in pts:
-            out.append(p)
-            while len(out) >= 3:
-                (xa, ya), (xb, yb), (xc, yc) = out[-3:]
-                if (yb - ya) * (xc - xb) == (yc - yb) * (xb - xa):
-                    del out[-2]
-                else:
-                    break
-        object.__setattr__(self, "points", tuple(out))
+        xs, _, values = _drop_collinear((x, y, y) for x, y in pts)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def points(self) -> tuple:
+        """The nodes as ``(x, y)`` pairs, built anew."""
+        return tuple(zip(self.xs, self.values))
 
     @property
     def limit_left(self) -> float:
-        return self.points[0][1]
+        return self.values[0]
 
     @property
     def limit_right(self) -> float:
-        return self.points[-1][1]
+        return self.values[-1]
 
-    @property
-    def xs(self):
-        return [x for x, _ in self.points]
+    # the names under which the curves routines read a curve's columns
+    lefts = property(lambda self: self.values)
+    tail_left = limit_left
+    tail_right = limit_right
 
     def __call__(self, x: float) -> float:
-        pts = self.points
-        if x <= pts[0][0]:
-            return pts[0][1]
-        if x >= pts[-1][0]:
-            return pts[-1][1]
-        for (xa, ya), (xb, yb) in zip(pts, pts[1:]):
-            if x < xb:
-                return _interp(xa, ya, xb, yb, x)
-        raise AssertionError
+        return _value(self, bisect.bisect_right(self.xs, x), x)
 
     def integral(self, u: float, v: float) -> float:
         """Exact integral of f over [u, v] (trapezoid on each affine piece)."""
         if v < u:
             raise ValueError("reversed integration interval")
-        cuts = [u] + [x for x, _ in self.points if u < x < v] + [v]
+        xs = self.xs
+        cuts = [u, *xs[bisect.bisect_right(xs, u):bisect.bisect_left(xs, v)], v]
         total = 0.0
         for a, b in zip(cuts, cuts[1:]):
             total += (b - a) * (self(a) + self(b)) / 2.0
@@ -138,20 +135,18 @@ class TestFunction:
         """inf{x : f(x) <= y} for y in the closed range of f.
 
         At y == limit_left the level set is the whole line and -inf is
-        returned; strictly outside [limit_right, limit_left] is an error.
+        returned; outside [limit_right, limit_left] (or NaN) is an error.
         """
-        if y > self.limit_left or y < self.limit_right:
+        if not self.limit_right <= y <= self.limit_left:
             raise DualRangeError("outside range of f")
-        if y >= self.limit_left:
+        if y == self.limit_left:
             return -math.inf
-        pts = self.points
-        for i, (x, val) in enumerate(pts):
-            if val <= y:
-                if val == y:
-                    return x
-                xa, ya = pts[i - 1]
-                return xa + (y - ya) * (x - xa) / (val - ya)
-        raise AssertionError("value inside range but never attained")
+        xs, vs = self.xs, self.values
+        # the first node at or below y; values are nonincreasing
+        k = bisect.bisect_left(vs, -y, key=operator.neg)
+        if vs[k] == y:
+            return xs[k]
+        return _solve_level((xs[k - 1], vs[k - 1], xs[k], vs[k]), y)
 
 
 def negated_cdf(q: Cdf) -> TestFunction:
@@ -173,8 +168,8 @@ def ramp_ladder(p: Cdf, count: int, width: float):
     """
     if count < 1:
         raise ValueError("ladder needs at least one function")
-    if width <= 0:
-        raise ValueError("window width must be positive")
+    if not 0 < width < math.inf:
+        raise ValueError("window width must be positive and finite")
     start = p.support_lower - width
     span = p.support_upper - start
     step = span / count
@@ -207,8 +202,8 @@ def stieltjes(g, f: MonotoneRC, a: float = -math.inf, b: float = math.inf) -> fl
     g = _as_integrand(g)
     tails = isinstance(g, TestFunction)
     if tails:
-        lo = min(max(a, g.points[0][0]), b)
-        hi = max(min(b, g.points[-1][0]), lo)
+        lo = min(max(a, g.xs[0]), b)
+        hi = max(min(b, g.xs[-1]), lo)
     else:
         lo, hi = a, b
     xs, ls, vs = f.xs, f.lefts, f.values
@@ -258,12 +253,12 @@ def gamma_family(m: float, f: TestFunction, family: AcceptanceFamily) -> float:
 
 def _profile_pieces(f: TestFunction, lam: MonotoneRC):
     """Affine pieces (p, q, f_slope, lam_at_p, lam_before_q) on f's span."""
-    fpts = f.points
-    if len(fpts) < 2:
+    fx = f.xs
+    if len(fx) < 2:
         return []
-    lo = bisect.bisect_right(lam.xs, fpts[0][0])
-    hi = bisect.bisect_left(lam.xs, fpts[-1][0])
-    inner = sorted(set(x for x, _ in fpts) | set(lam.xs[lo:hi]))
+    lo = bisect.bisect_right(lam.xs, fx[0])
+    hi = bisect.bisect_left(lam.xs, fx[-1])
+    inner = sorted(set(fx) | set(lam.xs[lo:hi]))
     pieces = []
     for p, q in zip(inner, inner[1:]):
         slope = (f(q) - f(p)) / (q - p)
@@ -426,9 +421,9 @@ def risk_lower_bound_from_gamma(
     level set -- t above anything gamma can reach -- yields +inf.
     """
     if m_lo is None:
-        m_lo = -f.points[-1][0] - 1.0
+        m_lo = -f.xs[-1] - 1.0
     if m_hi is None:
-        m_hi = -f.points[0][0] + 1.0
+        m_hi = -f.xs[0] + 1.0
     if gamma_fn(m_hi) < t:
         if t > f.limit_left:
             return math.inf

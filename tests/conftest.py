@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from lambdavar.curves import MonotoneRC
+
+# Every property test runs the same 300 derandomised examples on every run:
+# no example database, and no deadline, since wall time varies between runs.
+settings.register_profile(
+    "lambdavar", max_examples=300, derandomize=True, database=None, deadline=None
+)
+settings.load_profile("lambdavar")
 
 _trusted = MonotoneRC._trusted
 

@@ -420,6 +420,53 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1 and "nested too deeply" in err
 
+    HUGE = "1" + "0" * 400  # a JSON integer that no float can hold
+
+    @pytest.mark.parametrize("command", ["compute", "duality"])
+    @pytest.mark.parametrize(
+        "data, profile",
+        [
+            ({"type": "dirac", "x": HUGE}, None),
+            ({"type": "empirical", "samples": [0, HUGE]}, None),
+            (None, {"type": "constant", "lambda": HUGE}),
+            (
+                None,
+                {
+                    "type": "piecewise",
+                    "points": [[0.0, 0.01, 0.02]],
+                    "tails": [0.01, HUGE],
+                    "orientation": "nondecreasing",
+                },
+            ),
+        ],
+        ids=["dirac", "empirical", "constant-profile", "profile-tail"],
+    )
+    def test_integer_beyond_float_range_exits_2(
+        self, capsys, losses_csv, step_json, tmp_path, command, data, profile
+    ):
+        def dump(obj):
+            return json.dumps(obj).replace(f'"{self.HUGE}"', self.HUGE)
+
+        data_path = write(tmp_path, "d.json", dump(data)) if data else losses_csv
+        prof_path = write(tmp_path, "p.json", dump(profile)) if profile else step_json
+        argv = [command, "--data", data_path, "--profile", prof_path]
+        if command == "compute":
+            argv += ["--measure", "lambda-var"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "number out of float range" in err
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_ramp_width_exits_2(self, capsys, losses_csv, step_json, delta):
+        code, out, err = run_cli(
+            capsys, "duality", "--data", losses_csv, "--profile", step_json,
+            "--delta", delta,
+        )
+        assert code == 2
+        assert out == ""
+        assert "window width must be positive and finite" in err
+
     @pytest.mark.parametrize(
         "samples, measure, expected",
         [

@@ -34,11 +34,12 @@ from lambdavar import (
     truncate_left,
     uniform,
 )
+from lambdavar import dual
 from lambdavar.checks import suite_names
 from lambdavar.cli import main
 from lambdavar.curves import _clip01
 from lambdavar.exceptions import InfeasibleProfileError
-from test_walk import LEVELS, SETTINGS, abscissae, cdfs, curves
+from test_walk import LEVELS, abscissae, cdfs, curves
 
 # ---------- oracles ----------
 
@@ -124,7 +125,6 @@ class TestFromSamples:
     def test_matches_the_loop(self, xs):
         assert repr(from_samples(xs).payload.points) == repr(from_samples_loop(xs))
 
-    @SETTINGS
     @given(
         st.lists(
             st.one_of(
@@ -160,7 +160,6 @@ class TestFromSamples:
 
 
 class TestBisectedLevels:
-    @SETTINGS
     @given(cdfs(), st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=5))
     def test_bisection_matches_the_scan(self, p, us):
         c = p.payload
@@ -169,7 +168,6 @@ class TestBisectedLevels:
         for u in on_curve + us:
             assert repr(p.quantile_right(u)) == repr(quantile_right_scan(p, u))
 
-    @SETTINGS
     @given(cdfs())
     def test_support_lower_matches_the_scan(self, p):
         assert repr(p.support_lower) == repr(support_lower_scan(p))
@@ -214,13 +212,11 @@ def reaching_one(draw):
 
 
 class TestTruncateLeft:
-    @SETTINGS
     @given(near_lines())
     def test_matches_the_filter_near_lines(self, case):
         g, c = case
         assert outcome(truncate_left, g, c) == outcome(truncate_left_filter, g, c)
 
-    @SETTINGS
     @given(
         reaching_one(),
         st.sampled_from([-3.0, -2.0, -1.25, -0.0, 0.0, 0.75, 1.0, 2.0, 3.0]),
@@ -253,7 +249,6 @@ class TestTruncateLeft:
 
 
 class TestFamilyMember:
-    @SETTINGS
     @given(
         st.sampled_from([NONDECREASING, NONINCREASING]).flatmap(
             lambda orientation: curves(orientation, max_level=0.875)
@@ -348,6 +343,7 @@ def test_no_command_reads_the_triples(tmp_path, monkeypatch, capsys):
         raise AssertionError("the triples were built at run time")
 
     monkeypatch.setattr(MonotoneRC, "points", property(refuse))
+    monkeypatch.setattr(dual.TestFunction, "points", property(refuse))
     rng = random.Random(4)
     data = tmp_path / "x.csv"
     data.write_text("value\n" + "\n".join(repr(rng.gauss(0.0, 1.0)) for _ in range(500)))

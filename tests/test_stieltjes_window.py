@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from lambdavar import (
@@ -132,8 +132,6 @@ def ramps(draw):
 
 ENDS = st.one_of(st.sampled_from(GRID), st.floats(-3.5, 3.5))
 
-SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
-
 
 def _ulps_close(got, want: Fraction):
     # every term is a product of values in [-1, 1]; a few rounding steps
@@ -144,14 +142,12 @@ def _ulps_close(got, want: Fraction):
 
 
 class TestTestFunctionIntegrand:
-    @SETTINGS
     @given(ramps(), curves())
     def test_whole_line(self, g, f):
         got = stieltjes(g, f)
         assert got == pytest.approx(stieltjes_full_pass(g, f), abs=1e-13)
         assert _ulps_close(got, stieltjes_fraction(g, f))
 
-    @SETTINGS
     @given(ramps(), curves(), ENDS, ENDS, st.sampled_from(["both", "left", "right"]))
     def test_finite_ends(self, g, f, a, b, which):
         a, b = min(a, b), max(a, b)
@@ -163,7 +159,6 @@ class TestTestFunctionIntegrand:
         assert got == pytest.approx(stieltjes_full_pass(g, f, a, b), abs=1e-13)
         assert _ulps_close(got, stieltjes_fraction(g, f, a, b))
 
-    @SETTINGS
     @given(st.integers(-64, 64), st.sampled_from(GRID), curves(), ENDS, ENDS)
     def test_one_node_is_a_constant(self, c, x, f, a, b):
         a, b = min(a, b), max(a, b)
@@ -197,7 +192,6 @@ class TestOtherIntegrandsUnchanged:
         st.sampled_from([1, 0.5, -2.0]),
     )
 
-    @SETTINGS
     @given(
         INTEGRANDS,
         curves(),
@@ -209,12 +203,10 @@ class TestOtherIntegrandsUnchanged:
 
 
 class TestProfilePieces:
-    @SETTINGS
     @given(ramps(), curves())
     def test_pieces_bit_identical(self, g, lam):
         assert repr(_profile_pieces(g, lam)) == repr(profile_pieces_full_scan(g, lam))
 
-    @SETTINGS
     @given(ramps(), curves(), st.floats(-4.0, 4.0))
     def test_gamma_bit_identical(self, g, lam, m):
         if lam.sup_value >= 1.0:

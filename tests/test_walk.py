@@ -11,7 +11,7 @@ import bisect
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from lambdavar import (
@@ -188,31 +188,24 @@ WEIGHTS = st.one_of(
     st.floats(0.0, 1.0),
 )
 
-SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
-
 
 class TestAgainstSetUnionScan:
-    @SETTINGS
     @given(curves(), curves())
     def test_first_above(self, f, g):
         assert repr(first_above(f, g)) == repr(first_above_oracle(f, g))
 
-    @SETTINGS
     @given(parallel_pairs())
     def test_first_above_parallel_pieces(self, pair):
         assert repr(first_above(*pair)) == repr(first_above_oracle(*pair))
 
-    @SETTINGS
     @given(curves(), curves())
     def test_pointwise_leq(self, f, g):
         assert pointwise_leq(f, g) is pointwise_leq_oracle(f, g)
 
-    @SETTINGS
     @given(cdfs(), cdfs(), WEIGHTS)
     def test_mixture(self, p, q, lam):
         assert repr(mixture(p, q, lam)) == repr(mixture_oracle(p, q, lam))
 
-    @SETTINGS
     @given(cdfs(), curves(NONINCREASING, continuous=True, max_level=0.875))
     def test_lambda_var_flat(self, p, curve):
         profile = LossProfile(curve)
@@ -221,7 +214,6 @@ class TestAgainstSetUnionScan:
             lambda_var_flat_oracle(p, profile)
         )
 
-    @SETTINGS
     @given(curves(), st.one_of(st.sampled_from(GRID + [-0.0, -2.5, 2.5]), st.floats(-3.0, 3.0)))
     def test_evaluation(self, f, x):
         assert repr((f(x), f.left_limit(x))) == repr((value_at(f, x), left_limit_at(f, x)))
