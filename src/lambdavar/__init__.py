@@ -9,120 +9,56 @@ quasi-convex dual lower bounds.
 Every value is immutable after construction and every operation is a pure
 function, so values can be shared freely across threads and batch sweeps
 parallelize without coordination.
+
+Each public name is imported from its module on first use (PEP 562), so
+``import lambdavar`` loads no module until a name is asked for, and the
+reference routes in ``oracles`` load only where something uses them.
 """
 
-from .curves import (
-    Cdf,
-    MonotoneRC,
-    NONDECREASING,
-    NONINCREASING,
-    converges_weakly,
-    dirac,
-    dominates,
-    first_above,
-    from_samples,
-    mixture,
-    piecewise_cdf,
-    pointwise_leq,
-    truncate_left,
-    uniform,
-)
-from .dual import (
-    Constant,
-    DualBoundReport,
-    ExpNeg,
-    Identity,
-    TestFunction,
-    conjugate_divergence_witness,
-    gamma_bruteforce,
-    gamma_decreasing,
-    gamma_family,
-    gamma_increasing,
-    min_risk_at_integral,
-    negated_cdf,
-    profile_gamma,
-    ramp_ladder,
-    representation_bound,
-    risk_lower_bound,
-    risk_lower_bound_from_gamma,
-    stieltjes,
-    truncation_candidates,
-)
-from .exceptions import BracketError, DualRangeError, InfeasibleProfileError
-from .measures import (
-    RiskReport,
-    certainty_equivalent,
-    entropic,
-    lambda_var,
-    lambda_var_flat,
-    risk_from_family,
-    translation_pair,
-    value_at_risk,
-    worst_case,
-)
-from .profiles import (
-    AcceptanceFamily,
-    LossProfile,
-    constant_profile,
-    family_member,
-    family_member_flat,
-    piecewise_profile,
-    step_profile,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcceptanceFamily",
-    "BracketError",
-    "Cdf",
-    "Constant",
-    "DualBoundReport",
-    "DualRangeError",
-    "ExpNeg",
-    "Identity",
-    "InfeasibleProfileError",
-    "LossProfile",
-    "MonotoneRC",
-    "NONDECREASING",
-    "NONINCREASING",
-    "RiskReport",
-    "TestFunction",
-    "certainty_equivalent",
-    "conjugate_divergence_witness",
-    "constant_profile",
-    "converges_weakly",
-    "dirac",
-    "dominates",
-    "entropic",
-    "family_member",
-    "family_member_flat",
-    "first_above",
-    "from_samples",
-    "gamma_bruteforce",
-    "gamma_decreasing",
-    "gamma_family",
-    "gamma_increasing",
-    "lambda_var",
-    "lambda_var_flat",
-    "min_risk_at_integral",
-    "mixture",
-    "negated_cdf",
-    "piecewise_cdf",
-    "piecewise_profile",
-    "pointwise_leq",
-    "profile_gamma",
-    "ramp_ladder",
-    "representation_bound",
-    "risk_from_family",
-    "risk_lower_bound",
-    "risk_lower_bound_from_gamma",
-    "stieltjes",
-    "step_profile",
-    "translation_pair",
-    "truncate_left",
-    "truncation_candidates",
-    "uniform",
-    "value_at_risk",
-    "worst_case",
-]
+_EXPORTS = {
+    "curves": (
+        "Cdf", "MonotoneRC", "NONDECREASING", "NONINCREASING", "dirac", "dominates",
+        "first_above", "from_samples", "mixture", "piecewise_cdf", "pointwise_leq",
+        "truncate_left", "uniform",
+    ),
+    "dual": (
+        "Constant", "DualBoundReport", "ExpNeg", "TestFunction", "gamma_decreasing",
+        "gamma_increasing", "negated_cdf", "profile_gamma", "ramp_ladder",
+        "representation_bound", "risk_lower_bound_from_gamma", "stieltjes",
+    ),
+    "exceptions": ("BracketError", "DualRangeError", "InfeasibleProfileError"),
+    "measures": (
+        "RiskReport", "certainty_equivalent", "entropic", "lambda_var", "value_at_risk",
+        "worst_case",
+    ),
+    "oracles": (
+        "AcceptanceFamily", "Identity", "conjugate_divergence_witness", "converges_weakly",
+        "family_member_flat", "gamma_bruteforce", "gamma_family", "lambda_var_flat",
+        "min_risk_at_integral", "risk_from_family", "risk_lower_bound",
+        "translation_pair", "truncation_candidates",
+    ),
+    "profiles": (
+        "LossProfile", "constant_profile", "family_member", "piecewise_profile",
+        "step_profile",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

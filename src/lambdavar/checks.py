@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from . import curves, dual, measures, profiles
+from . import curves, dual, oracles, profiles
 from .curves import Cdf, from_samples, mixture, truncate_left, uniform
 from .exceptions import BracketError, DualRangeError
 from .measures import lambda_var, value_at_risk, worst_case
@@ -164,7 +164,7 @@ def suite_translation(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
         else:
             prof = random_step_stack(rng, curves.NONINCREASING)
         alpha = dy(rng, -4.0, 4.0)
-        lhs, rhs = measures.translation_pair(p, prof, alpha)
+        lhs, rhs = oracles.translation_pair(p, prof, alpha)
         if lhs != rhs:
             violations += 1
             worst = max(worst, abs(lhs - rhs))
@@ -293,11 +293,11 @@ def suite_duality_sandwich(trials: int, seed: int, tol: float = 1e-9) -> SuiteRe
         m = dy(rng, -4.0, 4.0)
         closed = dual.gamma_increasing(m, f, prof)
         member = profiles.family_member(prof, -m)
-        brute = dual.gamma_bruteforce(
+        brute = oracles.gamma_bruteforce(
             m,
             f,
             lambda q: lambda_var(q, prof).value,
-            dual.truncation_candidates(member, range(1, 51)),
+            oracles.truncation_candidates(member, range(1, 51)),
         )
         if brute > closed + 1e-12:
             violations += 1

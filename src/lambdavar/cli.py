@@ -20,7 +20,6 @@ import math
 import os
 import sys
 
-from . import checks
 from .curves import Cdf, dirac, from_samples, mixture, piecewise_cdf, uniform
 from .dual import ExpNeg, profile_gamma, ramp_ladder, representation_bound
 from .exceptions import BracketError, DualRangeError, InfeasibleProfileError
@@ -278,6 +277,8 @@ def cmd_duality(args) -> dict:
 
 
 def cmd_check(args) -> dict:
+    from . import checks
+
     result = checks.run_suite(args.suite, args.trials, args.seed, args.tol)
     return {
         "report": "check",
@@ -429,10 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, profile=True):
+    def common(sp):
         sp.add_argument("--data", required=True, help="CSV of outcomes or distribution JSON")
-        if profile:
-            sp.add_argument("--profile", help="profile JSON file")
+        sp.add_argument("--profile", help="profile JSON file")
         sp.add_argument("--out", help="write the report here instead of stdout")
         sp.add_argument("--tol", type=float, default=tol_default)
 

@@ -139,14 +139,15 @@ class MonotoneRC:
     # ---------- evaluation ----------
 
     def __call__(self, x: float) -> float:
-        """Right-continuous value at x."""
+        """Right-continuous value at x; NaN is an error."""
         return _value(self, bisect.bisect_right(self.xs, x), x)
 
     def left_limit(self, x: float) -> float:
-        """Limit from the left at x."""
+        """Limit from the left at x; NaN is an error."""
         k = bisect.bisect_left(self.xs, x)
         if k < len(self.xs) and self.xs[k] == x:
             return self.lefts[k] if k else self.tail_left
+        _reject_nan(x)
         return _off_breakpoint(self, k, x)[0]
 
     def jump(self, x: float) -> float:
@@ -230,7 +231,14 @@ def _value(curve: MonotoneRC, k: int, x: float) -> float:
     """The value at x, given k = bisect_right(curve.xs, x)."""
     if k and curve.xs[k - 1] == x:
         return curve.values[k - 1]
+    _reject_nan(x)
     return _off_breakpoint(curve, k, x)[1]
+
+
+def _reject_nan(x):
+    # NaN fails every comparison, so bisection would send it to a tail.
+    if x != x:
+        raise ValueError("cannot evaluate a curve at NaN")
 
 
 def _off_breakpoint(curve: MonotoneRC, k: int, x: float):
@@ -530,26 +538,3 @@ def truncate_left(g: MonotoneRC, c: float) -> Cdf:
 def dominates(p: Cdf, q: Cdf) -> bool:
     """True iff P first-order dominates Q, i.e. F_P <= F_Q everywhere."""
     return pointwise_leq(p.payload, q.payload)
-
-
-def converges_weakly(seq, limit: Cdf, probes, tol: float = 0.05) -> bool:
-    """Probe weak convergence of a CDF sequence at continuity points.
-
-    For each probe x the errors |F_n(x) - F(x)| must shrink monotonically
-    along the tail of the sequence and end below tol.  Probes sitting on a
-    jump of the limit are rejected.
-    """
-    seq = list(seq)
-    if not seq:
-        raise ValueError("empty sequence")
-    for x in probes:
-        if limit.payload.jump(x) != 0.0:
-            raise ValueError(f"probe not a continuity point: {x}")
-    tail = seq[len(seq) // 2:] if len(seq) >= 4 else seq
-    for x in probes:
-        errs = [abs(f(x) - limit(x)) for f in tail]
-        if any(b > a for a, b in zip(errs, errs[1:])):
-            return False
-        if errs[-1] > tol:
-            return False
-    return True

@@ -5,8 +5,8 @@ The dual objects are bounded continuous nonincreasing test functions.  For a
 risk functional built from an acceptance family, ``gamma(m, f)`` is the
 largest integral of f attainable by a distribution accepted at level m; its
 left inverse in m is a lower bound for the risk at matched integral levels
-(weak duality).  Closed forms, a generic bisection route and brute-force
-candidate sweeps cross-check each other throughout.
+(weak duality).  The brute-force sweeps and the bisected closed-form bound
+that cross-check these live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -16,19 +16,9 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .curves import (
-    Cdf,
-    MonotoneRC,
-    NONDECREASING,
-    _drop_collinear,
-    _interp,
-    _solve_level,
-    _value,
-    truncate_left,
-    uniform,
-)
+from .curves import Cdf, MonotoneRC, _drop_collinear, _interp, _solve_level, _value, uniform
 from .exceptions import BracketError, DualRangeError
-from .profiles import AcceptanceFamily, LossProfile
+from .profiles import LossProfile
 
 
 # ---------- integrands ----------
@@ -43,14 +33,6 @@ class Constant:
 
     def integral(self, u: float, v: float) -> float:
         return self.c * (v - u)
-
-
-class Identity:
-    def __call__(self, x: float) -> float:
-        return x
-
-    def integral(self, u: float, v: float) -> float:
-        return (v - u) * (u + v) / 2.0
 
 
 class ExpNeg:
@@ -174,6 +156,9 @@ def ramp_ladder(p: Cdf, count: int, width: float):
     span = p.support_upper - start
     step = span / count
     cs = [start + (i + 1) * step for i in range(count)]
+    for c in cs:
+        if not c < c + width:
+            raise ValueError(f"window width {width!r} vanishes at window start {c!r}")
     return [negated_cdf(uniform(c, c + width)) for c in cs]
 
 
@@ -235,20 +220,6 @@ def stieltjes(g, f: MonotoneRC, a: float = -math.inf, b: float = math.inf) -> fl
 
 
 # ---------- the level function gamma ----------
-
-
-def gamma_family(m: float, f: TestFunction, family: AcceptanceFamily) -> float:
-    """Largest integral of f over the acceptance set at level m, closed form.
-
-    Valid when the member curves are nondecreasing with limit 1 at +inf; the
-    mass the member leaves at -inf weighs the left limit of f.
-    """
-    g = family.member(-m)
-    if g.orientation != NONDECREASING:
-        raise ValueError("family member is not nondecreasing")
-    if g.tail_right != 1.0:
-        raise ValueError("family member does not reach 1")
-    return stieltjes(f, g) + g.tail_left * f.limit_left
 
 
 def _profile_pieces(f: TestFunction, lam: MonotoneRC):
@@ -341,69 +312,7 @@ def profile_gamma(profile: LossProfile):
     return gamma
 
 
-def gamma_bruteforce(m: float, f: TestFunction, risk, candidates) -> float:
-    """Largest integral of f over the candidates the risk accepts at level m.
-
-    A lower bound for gamma, since the sup runs over a finite subset only.
-    """
-    best = None
-    for q in candidates:
-        if risk(q) <= m:
-            val = stieltjes(f, q.payload)
-            if best is None or val > best:
-                best = val
-    if best is None:
-        raise ValueError("no feasible candidate")
-    return best
-
-
-def truncation_candidates(g: MonotoneRC, ns):
-    """The maximizing sequence for gamma: g truncated to [-n, inf)."""
-    return [truncate_left(g, -float(n)) for n in ns]
-
-
 # ---------- dual lower bounds ----------
-
-
-def risk_lower_bound(t: float, f: TestFunction, profile: LossProfile) -> float:
-    """Closed-form dual bound for a nondecreasing profile.
-
-    Builds H(m) = integral of (1 - profile) df over (-inf, m] (nonincreasing
-    since df <= 0), applies the nonincreasing left inverse at t - f(-inf) and
-    negates.  Returns +inf when the level set is the whole line.
-    """
-    profile.require_feasible()
-    if not profile.is_nondecreasing:
-        raise ValueError("requires a nondecreasing profile")
-    y = t - f.limit_left
-    pieces = _profile_pieces(f, profile.curve)
-    h_total = sum(
-        s * (q - p) * (1.0 - (c0 + c1) / 2.0) for p, q, s, c0, c1 in pieces
-    )
-    if y > 0.0 or y < h_total:
-        raise DualRangeError("dual variable out of range")
-    if y == 0.0:
-        return math.inf
-    h_p = 0.0
-    for p, q, s, c0, c1 in pieces:
-        dh = s * (q - p) * (1.0 - (c0 + c1) / 2.0)
-        h_q = h_p + dh
-        if h_q <= y:
-            lo_w, hi_w = 0.0, q - p
-
-            def h_at(w):
-                cw = c0 + w * (c1 - c0) / (q - p)
-                return h_p + s * w * (1.0 - (c0 + cw) / 2.0)
-
-            for _ in range(100):
-                mid = 0.5 * (lo_w + hi_w)
-                if h_at(mid) <= y:
-                    hi_w = mid
-                else:
-                    lo_w = mid
-            return -(p + hi_w)
-        h_p = h_q
-    raise AssertionError("dual variable inside range but never bracketed")
 
 
 def risk_lower_bound_from_gamma(
@@ -440,21 +349,6 @@ def risk_lower_bound_from_gamma(
         else:
             lo = mid
     return lo
-
-
-def min_risk_at_integral(t: float, f: TestFunction, risk, candidates) -> float:
-    """Smallest risk among candidates whose integral of f reaches t.
-
-    An upper bound for the true infimum over all distributions; +inf when no
-    candidate qualifies (the empty-infimum convention).
-    """
-    best = math.inf
-    for q in candidates:
-        if stieltjes(f, q.payload) >= t:
-            val = risk(q)
-            if val < best:
-                best = val
-    return best
 
 
 @dataclass(frozen=True)
@@ -520,16 +414,3 @@ def representation_bound(
     if best is None:
         raise BracketError("no informative test function in the family")
     return DualBoundReport(phi, best, phi - best, best_i, informative, skipped)
-
-
-def conjugate_divergence_witness(risk, f: TestFunction, n_max: int) -> float:
-    """max over n = 1..n_max of f(n) - risk(point mass at n).
-
-    Grows without bound in n_max for cash-additive risks, witnessing that the
-    convex conjugate is identically +inf.
-    """
-    if n_max < 1:
-        raise ValueError("need at least one point mass")
-    from .curves import dirac
-
-    return max(f(float(n)) - risk(dirac(float(n))) for n in range(1, n_max + 1))

@@ -5,8 +5,8 @@ the loss levels at which the CDF strictly exceeds the profile, computed
 exactly by scanning merged breakpoints and solving affine crossings.  The
 classical measures are special cases (constant profile: Value at Risk; zero
 profile: worst case) and independent implementations of them double as exact
-cross-checks.  A generic bisection over acceptance levels serves as the
-oracle for the whole construction.
+cross-checks.  The bisection over acceptance levels that serves as the
+oracle for the whole construction lives in ``oracles``.
 
 Values are floats; +inf means infinitely risky, and -inf is never returned
 (an infeasible profile raises instead).
@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curves import Cdf, _crossing_point, _walk, first_above
+from .curves import Cdf, first_above
 from .dual import ExpNeg, stieltjes
-from .exceptions import BracketError, InfeasibleProfileError
-from .profiles import AcceptanceFamily, LossProfile
+from .exceptions import InfeasibleProfileError
+from .profiles import LossProfile
 
 
 @dataclass(frozen=True)
@@ -51,37 +51,6 @@ def lambda_var(p: Cdf, profile: LossProfile) -> RiskReport:
     if x_star == -math.inf:
         return RiskReport(math.inf, None, "plus_infinity_tail_dominated")
     return RiskReport(-x_star, x_star, "finite")
-
-
-def lambda_var_flat(p: Cdf, profile: LossProfile) -> RiskReport:
-    """Same risk through the flat-level family of a decreasing profile.
-
-    At each level m the benchmark is the constant profile(m) below m; for a
-    continuous nonincreasing profile this reproduces lambda_var exactly.  The
-    scan compares the left limit of F_P against the profile value level by
-    level.
-    """
-    profile.require_feasible()
-    if not profile.is_nonincreasing:
-        raise ValueError("flat family requires a nonincreasing profile")
-    if not profile.is_continuous:
-        raise ValueError("flat family requires a continuous profile")
-    f = p.payload
-    lam = profile.curve
-    if f.tail_left > lam.tail_left:
-        return RiskReport(math.inf, None, "plus_infinity_tail_dominated")
-    prev = None
-    for x, fl, fv, _, lam_x in _walk(f, lam):
-        if prev is not None and fl > lam_x:
-            m_star = _crossing_point(f, lam, prev, x)
-            break
-        if fv > lam_x:
-            m_star = x
-            break
-        prev = x
-    else:
-        raise AssertionError("feasible profile never violated")
-    return RiskReport(-m_star, m_star, "finite")
 
 
 def value_at_risk(p: Cdf, level: float) -> float:
@@ -146,53 +115,3 @@ def entropic(p: Cdf) -> float:
     """
     s = p.support_lower
     return math.log(stieltjes(ExpNeg(s), p.payload)) - s
-
-
-def risk_from_family(
-    p: Cdf,
-    family: AcceptanceFamily,
-    m_lo: float | None = None,
-    m_hi: float | None = None,
-    tol: float = 1e-9,
-) -> float:
-    """Minus the supremum of accepting levels, by bisection.
-
-    The generic oracle for every profile-based measure: needs only the
-    family's membership test, which is exact.  The default bracket is ten
-    times the support hull, padded by one.
-    """
-    if m_lo is None or m_hi is None:
-        scale = max(abs(p.support_lower), abs(p.support_upper))
-        width = (1.0 + scale) * 10.0
-        if m_lo is None:
-            m_lo = -width
-        if m_hi is None:
-            m_hi = width
-    if not family.contains(m_lo, p):
-        if family.rejects_all_below(m_lo):
-            return math.inf
-        raise BracketError("widen search bracket")
-    if family.contains(m_hi, p):
-        raise BracketError("widen search bracket")
-    lo, hi = m_lo, m_hi
-    for _ in range(200):
-        if hi - lo <= 0.5 * tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if family.contains(mid, p):
-            lo = mid
-        else:
-            hi = mid
-    return -0.5 * (lo + hi)
-
-
-def translation_pair(p: Cdf, profile: LossProfile, alpha: float):
-    """Both sides of the cash-translation identity, computed independently.
-
-    Left: risk of the distribution shifted right by alpha.  Right: risk of
-    the original distribution under the profile shifted by alpha, minus
-    alpha.  The two agree exactly on the piecewise class.
-    """
-    lhs = lambda_var(p.translate(alpha), profile).value
-    rhs = lambda_var(p, profile.shift(alpha)).value - alpha
-    return lhs, rhs

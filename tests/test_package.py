@@ -1,0 +1,219 @@
+"""The package's shape: its public names, what each command loads, and the
+import graph that keeps the reference routes off the runtime path.
+
+The public names resolve lazily from one table in ``lambdavar/__init__.py``;
+the tests here pin that table's names, resolve each through ``from lambdavar
+import``, and check in fresh interpreters that ``compute``, ``duality`` and
+``plot`` never load ``oracles`` or ``checks``.  The demos run end to end.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lambdavar
+
+SRC = Path(lambdavar.__file__).resolve().parent.parent
+PACKAGE = SRC / "lambdavar"
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+PUBLIC_NAMES = [
+    "AcceptanceFamily",
+    "BracketError",
+    "Cdf",
+    "Constant",
+    "DualBoundReport",
+    "DualRangeError",
+    "ExpNeg",
+    "Identity",
+    "InfeasibleProfileError",
+    "LossProfile",
+    "MonotoneRC",
+    "NONDECREASING",
+    "NONINCREASING",
+    "RiskReport",
+    "TestFunction",
+    "certainty_equivalent",
+    "conjugate_divergence_witness",
+    "constant_profile",
+    "converges_weakly",
+    "dirac",
+    "dominates",
+    "entropic",
+    "family_member",
+    "family_member_flat",
+    "first_above",
+    "from_samples",
+    "gamma_bruteforce",
+    "gamma_decreasing",
+    "gamma_family",
+    "gamma_increasing",
+    "lambda_var",
+    "lambda_var_flat",
+    "min_risk_at_integral",
+    "mixture",
+    "negated_cdf",
+    "piecewise_cdf",
+    "piecewise_profile",
+    "pointwise_leq",
+    "profile_gamma",
+    "ramp_ladder",
+    "representation_bound",
+    "risk_from_family",
+    "risk_lower_bound",
+    "risk_lower_bound_from_gamma",
+    "step_profile",
+    "stieltjes",
+    "translation_pair",
+    "truncate_left",
+    "truncation_candidates",
+    "uniform",
+    "value_at_risk",
+    "worst_case",
+]
+
+ORACLE_NAMES = {
+    "AcceptanceFamily",
+    "Identity",
+    "conjugate_divergence_witness",
+    "converges_weakly",
+    "family_member_flat",
+    "gamma_bruteforce",
+    "gamma_family",
+    "lambda_var_flat",
+    "min_risk_at_integral",
+    "risk_from_family",
+    "risk_lower_bound",
+    "translation_pair",
+    "truncation_candidates",
+}
+
+RUNTIME_MODULES = ["curves", "profiles", "measures", "dual", "cli"]
+
+
+def python(cwd, *args) -> subprocess.CompletedProcess:
+    """A fresh interpreter in cwd that finds this package first."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestPublicNames:
+    def test_all_is_the_table(self):
+        assert lambdavar.__all__ == PUBLIC_NAMES
+        assert len(PUBLIC_NAMES) == 52
+
+    @pytest.mark.parametrize("name", PUBLIC_NAMES)
+    def test_each_name_imports_from_the_package(self, name):
+        ns = {}
+        exec(f"from lambdavar import {name}", ns)
+        assert ns[name] is getattr(lambdavar, name)
+
+    def test_moved_routes_resolve_to_the_oracles(self):
+        from lambdavar import oracles
+
+        for name in ORACLE_NAMES:
+            assert getattr(lambdavar, name) is getattr(oracles, name)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            lambdavar.no_such_name
+        with pytest.raises(ImportError):
+            exec("from lambdavar import no_such_name", {})
+
+    def test_moved_routes_left_no_alias_behind(self):
+        from lambdavar import curves, dual, measures, profiles
+
+        for module in (curves, dual, measures, profiles):
+            assert not ORACLE_NAMES & set(vars(module)), module.__name__
+
+    def test_names_are_listed_and_load_only_their_modules(self, tmp_path):
+        proc = python(
+            tmp_path,
+            "-c",
+            "import sys, lambdavar\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('lambdavar.'))\n"
+            "print(loaded(), set(lambdavar.__all__) <= set(dir(lambdavar)))\n"
+            "from lambdavar import BracketError, lambda_var, representation_bound\n"
+            "print(loaded())\n",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "[] True",
+            "['lambdavar.curves', 'lambdavar.dual', 'lambdavar.exceptions', "
+            "'lambdavar.measures', 'lambdavar.profiles']",
+        ]
+
+
+def test_runtime_commands_leave_the_oracles_unloaded(tmp_path):
+    (tmp_path / "data.csv").write_text("value\n-10\n-5\n0\n5\n")
+    (tmp_path / "step.json").write_text(
+        json.dumps({"type": "step", "lambda_min": 0.1, "lambda_max": 0.3, "threshold": 0.0})
+    )
+    runtime = [
+        ["compute", "--data", "data.csv", "--profile", "step.json", "--measure", m]
+        for m in ("lambda-var", "entropic", "certainty-eq", "worst-case")
+    ]
+    runtime.append(["compute", "--data", "data.csv", "--measure", "var", "--lambda", "0.25"])
+    runtime.append(["duality", "--data", "data.csv", "--profile", "step.json",
+                    "--functions", "20", "--delta", "0.5"])
+    runtime.append(["plot", "--data", "data.csv", "--profile", "step.json", "--out", "p.svg"])
+    check = ["check", "--suite", "duality-sandwich", "--trials", "3"]
+    code = (
+        "import json, sys\n"
+        "from lambdavar.cli import main\n"
+        "def loaded():\n"
+        "    return [m in sys.modules for m in ('lambdavar.oracles', 'lambdavar.checks')]\n"
+        "seen = []\n"
+        f"for argv in {runtime!r}:\n"
+        "    assert main(argv + ['--out', 'r.json'] if argv[0] != 'plot' else argv) == 0\n"
+        "    seen.append(loaded())\n"
+        f"assert main({check!r} + ['--out', 'r.json']) == 0\n"
+        "seen.append(loaded())\n"
+        "print(json.dumps(seen))\n"
+    )
+    proc = python(tmp_path, "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen[:-1] == [[False, False]] * len(runtime)
+    assert seen[-1] == [True, True]
+
+
+def _module_level_imports(node):
+    """Dotted names the imports outside any function body refer to."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.Import):
+            yield from (alias.name for alias in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            base = child.module or ""
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in child.names)
+        else:
+            yield from _module_level_imports(child)
+
+
+@pytest.mark.parametrize("module", RUNTIME_MODULES)
+def test_runtime_modules_import_no_oracle_at_module_level(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    names = list(_module_level_imports(tree))
+    assert names, "the parse found no imports at all"
+    assert [n for n in names if {"oracles", "checks"} & set(n.split("."))] == []
+
+
+@pytest.mark.parametrize("demo", ["risk_profiles.py", "dual_bounds.py"])
+def test_demo_runs(demo, tmp_path):
+    proc = python(tmp_path, str(DEMOS / demo))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    if demo == "risk_profiles.py":
+        assert (tmp_path / "risk_profiles.svg").read_text().startswith("<svg")
