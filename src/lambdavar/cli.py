@@ -66,15 +66,26 @@ REPORT_SCHEMA = {
 
 
 def read_csv_samples(path: str):
+    """The samples of a CSV file: one number per line, an optional header.
+
+    Parsed straight from the file object, so neither the text nor its lines
+    are held.  A line that float() refuses, such as a blank line or a
+    separator that str.strip() removes and float() keeps, hands the file to
+    the line-by-line parse, which decides and names the offending line; so
+    does a stream that cannot rewind.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    body = lines[1:] if lines[0].strip().lower() == "value" else lines
-    try:
-        samples = [float(s) for s in body if s and not s.isspace()]
-    except ValueError:
-        # float() and str.strip() disagree on a few separator characters, so
-        # the line-by-line parse decides, and names the offending line.
-        samples = _parse_lines(path, lines)
+        samples = None
+        if fh.seekable():
+            try:
+                head = fh.readline()
+                samples = [] if head.strip().lower() == "value" else [float(head)]
+                samples.extend(map(float, fh))
+            except ValueError:
+                samples = None
+                fh.seek(0)
+        if samples is None:
+            samples = _parse_lines(path, fh.read().split("\n"))
     if not samples:
         raise ValueError(f"{path}: no data")
     return samples

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from operator import ne, truediv
+from types import SimpleNamespace
 
 NONDECREASING = "nondecreasing"
 NONINCREASING = "nonincreasing"
@@ -60,7 +61,9 @@ class MonotoneRC:
 
     The breakpoints are stored as three parallel tuples: ``xs`` (strictly
     increasing abscissae), ``lefts`` (left limits) and ``values``.
-    ``points`` rebuilds the triples from them on each access.
+    ``points`` rebuilds the triples from them on each access.  A curve from
+    ``from_samples`` may start as a ``_LazyRC``, which has built the columns
+    of its smallest samples only.
 
     ``orientation`` selects which monotonicity is enforced; ``None`` skips the
     check entirely, which is needed for the non-monotone acceptance boundaries
@@ -77,6 +80,7 @@ class MonotoneRC:
     tail_left: float
     tail_right: float
     orientation: str | None = NONDECREASING
+    _prefix = None  # the built part of a _LazyRC, read through _built
 
     def __init__(self, points, tail_left, tail_right, orientation=NONDECREASING):
         pts = [(float(x), _clip01(float(l)), _clip01(float(v))) for x, l, v in points]
@@ -151,9 +155,11 @@ class MonotoneRC:
         return _off_breakpoint(self, k, x)[0]
 
     def jump(self, x: float) -> float:
+        """The jump at x; NaN is an error."""
         i = bisect.bisect_left(self.xs, x)
         if i < len(self.xs) and self.xs[i] == x:
             return self.values[i] - self.lefts[i]
+        _reject_nan(x)
         return 0.0
 
     # ---------- summaries ----------
@@ -192,6 +198,53 @@ class MonotoneRC:
             self.tail_right,
             self.orientation,
         )
+
+
+class _LazyRC(MonotoneRC):
+    """An empirical CDF with the columns of its smallest samples built.
+
+    ``prefix`` holds the columns of the smallest samples, among them every
+    sample at or below its last abscissa, with the shares of all n samples.
+    The first read of ``xs``, ``lefts`` or ``values``, or ``repr``, ``==``
+    or ``hash``, builds the rest and turns the curve into a plain
+    ``MonotoneRC``; the lookup hook stays off the class every other curve
+    has, where it would slow each attribute read.
+    """
+
+    def __init__(self, prefix: tuple, samples: list):
+        xs, lefts, values = prefix
+        vars(self).update(
+            _prefix=SimpleNamespace(xs=xs, lefts=lefts, values=values, tail_left=0.0),
+            _samples=samples, tail_left=0.0, tail_right=1.0, orientation=NONDECREASING,
+        )
+
+    def __getattr__(self, name):
+        # reached only for a name the instance lacks
+        if name in ("xs", "lefts", "values"):
+            self._complete()
+            return vars(self)[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def _complete(self):
+        """Build all the columns from the samples; the curve is then a MonotoneRC."""
+        d = vars(self)
+        samples = d["_samples"]
+        samples.sort()
+        d["xs"], d["lefts"], d["values"] = _sample_columns(samples, len(samples))
+        del d["_prefix"], d["_samples"]
+        object.__setattr__(self, "__class__", MonotoneRC)
+
+    def __repr__(self):
+        self._complete()
+        return repr(self)
+
+    def __eq__(self, other):
+        self._complete()
+        return self == other
+
+    def __hash__(self):
+        self._complete()
+        return hash(self)
 
 
 def _drop_collinear(triples):
@@ -241,6 +294,16 @@ def _reject_nan(x):
         raise ValueError("cannot evaluate a curve at NaN")
 
 
+def _built(curve):
+    """The curve, or for a lazy curve the part of it built so far.
+
+    The part has ``xs``, ``lefts``, ``values`` and ``tail_left``, but no
+    ``tail_right``.  Only the merge walk, ``_piece_at`` (on an interval the
+    walk found) and ``Cdf``'s reads of the first breakpoint use it.
+    """
+    return curve._prefix or curve
+
+
 def _off_breakpoint(curve: MonotoneRC, k: int, x: float):
     """(left limit, value) at x, strictly between breakpoints k - 1 and k.
 
@@ -263,28 +326,46 @@ def _walk(f: MonotoneRC, g: MonotoneRC):
     breakpoint lists, so reaching the k-th merged point costs O(k) and a
     scan that stops early never touches the rest.  On a tie the abscissa of
     f is reported, and a left limit at a curve's first breakpoint is its
-    ``tail_left``, as ``left_limit`` reports it.
+    ``tail_left``, as ``left_limit`` reports it.  A lazy curve is read from
+    its prefix, and completed only when its pointer reaches the prefix end.
     """
-    fx, fls, fvs = f.xs, f.lefts, f.values
-    gx, gls, gvs = g.xs, g.lefts, g.values
+    fc, gc = _built(f), _built(g)
+    fx, fls, fvs = fc.xs, fc.lefts, fc.values
+    gx, gls, gvs = gc.xs, gc.lefts, gc.values
     nf, ng = len(fx), len(gx)
     i = j = 0
-    while i < nf or j < ng:
-        xf = fx[i] if i < nf else math.inf
-        xg = gx[j] if j < ng else math.inf
+    # while either curve has a breakpoint left, built or not
+    while i < nf or j < ng or fc is not f or gc is not g:
+        if i < nf:
+            xf = fx[i]
+        elif fc is not f:
+            # reading the columns completes f (which may also be g)
+            fc, fx, fls, fvs = f, f.xs, f.lefts, f.values
+            nf = len(fx)
+            continue
+        else:
+            xf = math.inf
+        if j < ng:
+            xg = gx[j]
+        elif gc is not g:
+            gc, gx, gls, gvs = g, g.xs, g.lefts, g.values
+            ng = len(gx)
+            continue
+        else:
+            xg = math.inf
         x = xf if xf <= xg else xg
         if xf == x:
             fl = fls[i] if i else f.tail_left
             fv = fvs[i]
             i += 1
         else:
-            fl, fv = _off_breakpoint(f, i, x)
+            fl, fv = _off_breakpoint(fc, i, x)
         if xg == x:
             gl = gls[j] if j else g.tail_left
             gv = gvs[j]
             j += 1
         else:
-            gl, gv = _off_breakpoint(g, j, x)
+            gl, gv = _off_breakpoint(gc, j, x)
         yield x, fl, fv, gl, gv
 
 
@@ -294,8 +375,10 @@ def _piece_at(curve: MonotoneRC, lo: float):
     Returns ("c", value) for constant stretches (tails and flat segments) and
     ("a", (xa, ya, xb, yb)) for a genuinely sloped piece, described by the
     curve's own breakpoints.  Callers guarantee no breakpoint lies strictly
-    inside the interval they care about.
+    inside the interval they care about, and on a lazy curve a built
+    breakpoint right of lo, as the walk that found the interval ensures.
     """
+    curve = _built(curve)
     xs = curve.xs
     i = bisect.bisect_right(xs, lo) - 1
     if i < 0:
@@ -387,7 +470,7 @@ class Cdf:
             raise ValueError("a CDF must be nondecreasing")
         if p.tail_left != 0.0 or p.tail_right != 1.0:
             raise ValueError("a CDF must have limits 0 and 1")
-        if not p.xs:
+        if not _built(p).xs:
             raise ValueError("a CDF must reach 1 at a finite point")
 
     def __call__(self, x: float) -> float:
@@ -404,8 +487,8 @@ class Cdf:
         """Infimum of {x : F(x) > 0}."""
         # F is 0 left of its first breakpoint and rises at it or on the
         # piece after it: canonical form drops a first breakpoint at level 0
-        # followed by a flat piece.
-        return self.payload.xs[0]
+        # followed by a flat piece.  A lazy curve has it built already.
+        return _built(self.payload).xs[0]
 
     @property
     def support_upper(self) -> float:
@@ -446,29 +529,54 @@ def uniform(a: float, b: float) -> Cdf:
 def from_samples(xs) -> Cdf:
     """Empirical distribution of the samples; ties merge into one jump.
 
-    One sort, then passes that run in C: the jump at each distinct value runs
-    from the share k / n of samples below it to the share at or below it.
-    The shares form one tuple, so the value at one breakpoint and the left
-    limit at the next are the same float.
+    From 1024 samples on, only the smallest are sorted and built at first:
+    those at or below a pivot near the 2 % rank of a fixed stride sample
+    (after Floyd and Rivest's selection, with no randomness).  The shares of
+    the samples below and at each of them are then exact ranks, so the
+    floats equal those of the full build.  The merge walk reads this prefix
+    and completes the curve only if it runs past it; any other read of the
+    columns completes it first.  See ``_sample_columns`` for the build.
     """
     xs = list(map(float, xs))
     if not xs:
         raise ValueError("no data")
     if not all(map(math.isfinite, xs)):
         raise ValueError("samples must be finite")
-    xs.sort()
     n = len(xs)
+    stride = n >> 10
+    if stride:
+        sample = sorted(xs[::stride])
+        pivot = sample[len(sample) // 50]
+        head = sorted(filter(pivot.__ge__, xs))
+        if len(head) < n:
+            return Cdf(_LazyRC(_sample_columns(head, n), xs))
+    xs.sort()
+    return Cdf(MonotoneRC._trusted(*_sample_columns(xs, n), 0.0, 1.0))
+
+
+def _sample_columns(xs: list, n: int):
+    """Columns of the empirical CDF of n samples, up to the last value of xs.
+
+    xs is sorted and holds every sample at or below its last value, so each
+    share below is an exact rank.  Passes that run in C: the jump at each
+    distinct value runs from the share k / n of samples below it to the
+    share at or below it.  The shares form one tuple, so the value at one
+    breakpoint and the left limit at the next are the same float.  Of tied
+    -0.0 and 0.0 the breakpoint is the first in xs, which a stable sort
+    keeps in input order.
+    """
+    m = len(xs)
     # steps[k]: sample k + 1 differs from sample k
     steps = list(map(ne, xs, islice(xs, 1, None)))
     if all(steps):
-        cuts = range(n + 1)
+        cuts = range(m + 1)
     else:
         firsts = [True, *steps]  # firsts[k]: sample k is the first of its run
         xs = list(compress(xs, firsts))
-        cuts = list(compress(range(n), firsts))
-        cuts.append(n)
+        cuts = list(compress(range(m), firsts))
+        cuts.append(m)
     shares = tuple(map(truediv, cuts, repeat(n)))
-    return Cdf(MonotoneRC._trusted(tuple(xs), shares[:-1], shares[1:], 0.0, 1.0))
+    return tuple(xs), shares[:-1], shares[1:]
 
 
 def piecewise_cdf(points) -> Cdf:

@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import random
+import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lambdavar import (
     ExpNeg,
@@ -15,8 +19,9 @@ from lambdavar import (
     value_at_risk,
     worst_case,
 )
+from lambdavar import cli
 from lambdavar.checks import dy
-from lambdavar.cli import REPORT_SCHEMA, main, parse_distribution, parse_profile
+from lambdavar.cli import REPORT_SCHEMA, main, parse_distribution, parse_profile, read_csv_samples
 
 try:
     import jsonschema
@@ -559,3 +564,97 @@ class TestReadCsv:
                 return f"ValueError: {exc}"
 
         assert outcome(read_csv_samples) == outcome(read_csv_loop)
+
+
+def read_csv_split(path):
+    """The reader that the streaming parse replaced: split the whole text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    body = lines[1:] if lines[0].strip().lower() == "value" else lines
+    try:
+        samples = [float(s) for s in body if s and not s.isspace()]
+    except ValueError:
+        samples = []
+        for lineno, raw in enumerate(lines, 1):
+            line = raw.strip()
+            if not line or (lineno == 1 and line.lower() == "value"):
+                continue
+            try:
+                samples.append(float(line))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: not a number: {line!r}")
+    if not samples:
+        raise ValueError(f"{path}: no data")
+    return samples
+
+
+def csv_outcome(reader, path):
+    try:
+        return repr(reader(str(path)))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+CSV_LINES = st.sampled_from(
+    ["1.5", "-0.0", "0", "7", "1e-320", "value", "Value ", "", " ", "\t", "\r",
+     "\x1c", "2\x1d", "\x1e3", "4\x1f", "nan", "-inf", "1_0", "abc", "\ufeff1", "\x85"]
+)
+
+
+class TestStreamingCsv:
+    """The streaming parse against the split-text reader, on bytes on disk."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"value\n1\n\n2\n3\n",  # blank line in the middle
+            b"value\n1\n \t \n2\n",  # whitespace-only line
+            b"value\r\n1.5\r\n-2\r\n",  # \r\n endings
+            b"value\n",  # a header with no data
+            b"value",
+            b"",  # an empty file
+            b"\n",
+            b"\xef\xbb\xbfvalue\n1\n",  # a UTF-8 BOM
+            b"\xef\xbb\xbf1\n2\n",
+            b"1\x1c\n\x1d2\n3\x1e4\n\x1f\n",  # separators float() keeps
+            b"value\nnan\ninf\n-inf\n",
+            b"value\n1\n2\nnope",  # a bad last line
+            b"value\n1\n2\nnope\n",
+            b"1\n2\n3",  # no header, no final newline
+            b"value\n1\n\xff\n",  # not UTF-8
+        ],
+    )
+    def test_matches_the_split_reader(self, tmp_path, data):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        assert csv_outcome(read_csv_samples, path) == csv_outcome(read_csv_split, path)
+
+    @given(st.lists(CSV_LINES, max_size=12), st.sampled_from(["\n", "\r\n", "\r"]),
+           st.booleans())
+    def test_matches_the_split_reader_on_generated_files(self, tmp_path_factory, lines, end, last):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes((end.join(lines) + (end if last else "")).encode("utf-8"))
+        assert csv_outcome(read_csv_samples, path) == csv_outcome(read_csv_split, path)
+
+    @pytest.mark.parametrize("data", [b"value\n1\n-2.5\n", b" VALUE \r\n1\r\n-2.5", b"1\n-2.5\n"])
+    def test_clean_files_never_reach_the_line_loop(self, tmp_path, monkeypatch, data):
+        def refuse(path, lines):
+            raise AssertionError("the line-by-line parse ran")
+
+        monkeypatch.setattr(cli, "_parse_lines", refuse)
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        assert read_csv_samples(str(path)) == [1.0, -2.5]
+
+    def test_a_pipe_falls_back_without_rewinding(self, tmp_path):
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        data = b"value\n1\n\n2\n"
+        writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        got = read_csv_samples(str(path))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(data)
+        assert repr(got) == repr(read_csv_split(str(plain))) == "[1.0, 2.0]"

@@ -40,6 +40,13 @@ class TestNanEvaluation:
             with pytest.raises(ValueError, match="NaN"):
                 evaluate(NAN)
 
+    def test_jump_rejects_nan(self, name):
+        c = CDFS[name].payload
+        with pytest.raises(ValueError, match="cannot evaluate a curve at NaN"):
+            c.jump(NAN)
+        assert c.jump(c.xs[0]) == c.values[0] - c.lefts[0]
+        assert c.jump(-math.inf) == c.jump(math.inf) == 0.0
+
     def test_tails_and_breakpoints_still_evaluate(self, name):
         p = CDFS[name]
         assert (p(-math.inf), p.left_limit(-math.inf)) == (0.0, 0.0)
