@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from operator import ne, truediv
 from types import SimpleNamespace
@@ -48,8 +47,41 @@ def _collinear(xa, ya, xb, yb, xc, yc):
     return (yb - ya) * (xc - xb) == (yc - yb) * (xb - xa)
 
 
-@dataclass(frozen=True, init=False)
-class MonotoneRC:
+class _Record:
+    """Fields named in ``_fields``, with a frozen dataclass's ``repr``,
+    ``==`` and ``hash`` and no assignment or deletion after construction.
+
+    ``==`` holds only between instances of one class, and it and ``hash``
+    read the tuple ``_key()``, all the fields unless a class says otherwise.
+    Constructors fill the instance dict in one update.  Written out so that
+    no command pays for importing ``dataclasses``.
+    """
+
+    _fields = ()
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MonotoneRC(_Record):
     """Right-continuous piecewise-linear function R -> [0, 1] with jumps.
 
     ``MonotoneRC(points, tail_left, tail_right, orientation)`` takes an
@@ -74,12 +106,7 @@ class MonotoneRC:
     [0, 1] (NaN is rejected); the abscissae must be finite.
     """
 
-    xs: tuple
-    lefts: tuple
-    values: tuple
-    tail_left: float
-    tail_right: float
-    orientation: str | None = NONDECREASING
+    _fields = ("xs", "lefts", "values", "tail_left", "tail_right", "orientation")
     _prefix = None  # the built part of a _LazyRC, read through _built
 
     def __init__(self, points, tail_left, tail_right, orientation=NONDECREASING):
@@ -109,12 +136,8 @@ class MonotoneRC:
         self._fill(xs, ls, vs, tl, tr, orientation)
 
     def _fill(self, xs, lefts, values, tail_left, tail_right, orientation):
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "lefts", lefts)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "tail_left", tail_left)
-        object.__setattr__(self, "tail_right", tail_right)
-        object.__setattr__(self, "orientation", orientation)
+        vars(self).update(xs=xs, lefts=lefts, values=values, tail_left=tail_left,
+                          tail_right=tail_right, orientation=orientation)
 
     @classmethod
     def _trusted(cls, xs: tuple, lefts: tuple, values: tuple,
@@ -458,20 +481,19 @@ def first_above(f: MonotoneRC, g: MonotoneRC):
     return None
 
 
-@dataclass(frozen=True)
-class Cdf:
+class Cdf(_Record):
     """A distribution function: nondecreasing MonotoneRC with tails 0 and 1."""
 
-    payload: MonotoneRC
+    _fields = ("payload",)
 
-    def __post_init__(self):
-        p = self.payload
-        if p.orientation != NONDECREASING:
+    def __init__(self, payload: MonotoneRC):
+        if payload.orientation != NONDECREASING:
             raise ValueError("a CDF must be nondecreasing")
-        if p.tail_left != 0.0 or p.tail_right != 1.0:
+        if payload.tail_left != 0.0 or payload.tail_right != 1.0:
             raise ValueError("a CDF must have limits 0 and 1")
-        if not _built(p).xs:
+        if not _built(payload).xs:
             raise ValueError("a CDF must reach 1 at a finite point")
+        vars(self)["payload"] = payload
 
     def __call__(self, x: float) -> float:
         return self.payload(x)

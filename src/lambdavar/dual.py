@@ -14,9 +14,10 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass
 
-from .curves import Cdf, MonotoneRC, _drop_collinear, _interp, _solve_level, _value, uniform
+from .curves import (
+    Cdf, MonotoneRC, _drop_collinear, _interp, _Record, _solve_level, _value, uniform
+)
 from .exceptions import BracketError, DualRangeError
 from .profiles import LossProfile
 
@@ -53,8 +54,7 @@ class ExpNeg:
         return math.exp(self.shift - u) - math.exp(self.shift - v)
 
 
-@dataclass(frozen=True, init=False)
-class TestFunction:
+class TestFunction(_Record):
     """Bounded continuous nonincreasing piecewise-linear function.
 
     Constant left of the first node and right of the last, so the limits at
@@ -62,8 +62,7 @@ class TestFunction:
     a curve without jumps, ``xs`` and ``values`` (also its left limits).
     """
 
-    xs: tuple
-    values: tuple
+    _fields = ("xs", "values")
 
     def __init__(self, points):
         pts = tuple((float(x), float(y)) for x, y in points)
@@ -78,8 +77,7 @@ class TestFunction:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError("nodes must be finite")
         xs, _, values = _drop_collinear((x, y, y) for x, y in pts)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "values", values)
+        vars(self).update(xs=xs, values=values)
 
     @property
     def points(self) -> tuple:
@@ -351,8 +349,7 @@ def risk_lower_bound_from_gamma(
     return lo
 
 
-@dataclass(frozen=True)
-class DualBoundReport:
+class DualBoundReport(_Record):
     """The best bound and how many test functions gave one.
 
     ``skipped`` counts the functions that carried no information, by reason:
@@ -361,12 +358,14 @@ class DualBoundReport:
     sum to the size of the family.
     """
 
-    phi_value: float
-    best_lower_bound: float
-    gap: float
-    argmax_function_index: int
-    informative: int
-    skipped: dict
+    _fields = ("phi_value", "best_lower_bound", "gap", "argmax_function_index",
+               "informative", "skipped")
+
+    def __init__(self, phi_value: float, best_lower_bound: float, gap: float,
+                 argmax_function_index: int, informative: int, skipped: dict):
+        vars(self).update(phi_value=phi_value, best_lower_bound=best_lower_bound, gap=gap,
+                          argmax_function_index=argmax_function_index,
+                          informative=informative, skipped=skipped)
 
 
 def representation_bound(

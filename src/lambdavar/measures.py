@@ -15,26 +15,27 @@ Values are floats; +inf means infinitely risky, and -inf is never returned
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .curves import Cdf, first_above
+from .curves import Cdf, _Record, first_above
 from .dual import ExpNeg, stieltjes
 from .exceptions import InfeasibleProfileError
 from .profiles import LossProfile
 
 
-@dataclass(frozen=True)
-class RiskReport:
+class RiskReport(_Record):
     """Risk value plus the witness that produced it.
 
     ``violation_point`` is the infimum of the levels where the CDF exceeds
     the profile (None when the value is +inf); when both curves are
     continuous there, it is the smallest intersection of the two curves.
+    ``finiteness_case`` is "finite" or "plus_infinity_tail_dominated".
     """
 
-    value: float
-    violation_point: float | None
-    finiteness_case: str  # "finite" | "plus_infinity_tail_dominated"
+    _fields = ("value", "violation_point", "finiteness_case")
+
+    def __init__(self, value: float, violation_point: float | None, finiteness_case: str):
+        vars(self).update(value=value, violation_point=violation_point,
+                          finiteness_case=finiteness_case)
 
 
 def lambda_var(p: Cdf, profile: LossProfile) -> RiskReport:

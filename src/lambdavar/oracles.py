@@ -9,10 +9,10 @@ tests, the ``check`` suites and the demos import this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .curves import (
-    NONDECREASING, Cdf, MonotoneRC, _crossing_point, _walk, dirac, pointwise_leq, truncate_left
+    NONDECREASING, Cdf, MonotoneRC, _crossing_point, _Record, _walk, dirac, pointwise_leq,
+    truncate_left,
 )
 from .dual import TestFunction, _profile_pieces, stieltjes
 from .exceptions import BracketError, DualRangeError
@@ -36,8 +36,7 @@ def family_member_flat(profile: LossProfile, m: float) -> MonotoneRC:
     return MonotoneRC(((m, level, 1.0),), level, 1.0, NONDECREASING)
 
 
-@dataclass(frozen=True)
-class AcceptanceFamily:
+class AcceptanceFamily(_Record):
     """A decreasing family of benchmark curves indexed by a real level.
 
     Profile-backed families are defined for every level.  Table-backed
@@ -48,10 +47,11 @@ class AcceptanceFamily:
     tabulated levels.
     """
 
-    kind: str
-    profile: LossProfile | None = None
-    table: tuple = ()
-    rule: str = "step-left"
+    _fields = ("kind", "profile", "table", "rule")
+
+    def __init__(self, kind: str, profile: LossProfile | None = None, table: tuple = (),
+                 rule: str = "step-left"):
+        vars(self).update(kind=kind, profile=profile, table=table, rule=rule)
 
     @classmethod
     def from_profile(cls, profile: LossProfile) -> "AcceptanceFamily":

@@ -13,14 +13,12 @@ reference route in ``oracles``.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 
-from .curves import NONDECREASING, NONINCREASING, MonotoneRC
+from .curves import NONDECREASING, NONINCREASING, MonotoneRC, _Record
 from .exceptions import InfeasibleProfileError
 
 
-@dataclass(frozen=True)
-class LossProfile:
+class LossProfile(_Record):
     """A probability/loss trade-off curve with cached range data.
 
     ``sup_value`` gates feasibility: a profile touching 1 accepts every
@@ -28,15 +26,16 @@ class LossProfile:
     profiles are representable but flagged infeasible.
     """
 
-    curve: MonotoneRC
-    sup_value: float = field(init=False, compare=False, default=0.0)
-    inf_value: float = field(init=False, compare=False, default=0.0)
+    _fields = ("curve", "sup_value", "inf_value")
 
-    def __post_init__(self):
-        if self.curve.orientation is None:
+    def __init__(self, curve: MonotoneRC):
+        if curve.orientation is None:
             raise ValueError("a profile needs a declared orientation")
-        object.__setattr__(self, "sup_value", self.curve.sup_value)
-        object.__setattr__(self, "inf_value", self.curve.inf_value)
+        vars(self).update(curve=curve, sup_value=curve.sup_value, inf_value=curve.inf_value)
+
+    def _key(self):
+        # the range data follows from the curve
+        return (self.curve,)
 
     def __call__(self, x: float) -> float:
         return self.curve(x)

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import random
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -622,6 +624,19 @@ class TestStreamingCsv:
             b"value\n1\n2\nnope\n",
             b"1\n2\n3",  # no header, no final newline
             b"value\n1\n\xff\n",  # not UTF-8
+            # the line loop resumes at the refused line, with its true number
+            b"nope\n1\n2\n",  # a bad first line
+            b"1\nnope\n2\n",  # a bad second line
+            b"value\nnope\n2\n",
+            b"value\n1\n2\nnope\n3\n4\n",  # a bad line in the middle
+            b"value\n1\n\nnope\n2\n",  # a blank line, then a bad one
+            b"value\n1\n\n\n2\n\n \n3\n\n\n",  # several blank lines
+            b"value\r\n1\r\n\r\n2\r\n",
+            b"1\n\nvalue\n",  # a header after line 1 is not one
+            b"\n\nvalue\n1\n",
+            # resumed past the decoder's first chunk, the whole text decides
+            b"value\n1\n\n" + b"2\n" * 10000 + b"\xff\n",
+            b"value\nnope\n" + b"2\n" * 10000 + b"\xff\n",
         ],
     )
     def test_matches_the_split_reader(self, tmp_path, data):
@@ -646,6 +661,22 @@ class TestStreamingCsv:
         path.write_bytes(data)
         assert read_csv_samples(str(path)) == [1.0, -2.5]
 
+    def test_a_trailing_blank_line_resumes_at_that_line(self, tmp_path, monkeypatch):
+        parse_lines = cli._parse_lines
+        fed = []
+
+        def counted(path, lines, start=1):
+            lines = list(lines)
+            fed.append((start, len(lines)))
+            return parse_lines(path, lines, start)
+
+        monkeypatch.setattr(cli, "_parse_lines", counted)
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"value\n" + b"".join(b"%d\n" % k for k in range(100_000)) + b"\n")
+        got = read_csv_samples(str(path))
+        assert fed == [(100_002, 1)]
+        assert got == [float(k) for k in range(100_000)]
+
     def test_a_pipe_falls_back_without_rewinding(self, tmp_path):
         path = tmp_path / "pipe"
         os.mkfifo(path)
@@ -658,3 +689,18 @@ class TestStreamingCsv:
         plain = tmp_path / "plain.csv"
         plain.write_bytes(data)
         assert repr(got) == repr(read_csv_split(str(plain))) == "[1.0, 2.0]"
+
+
+@pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, 5_000_001])
+def test_file_digest_hashes_in_chunks(tmp_path, size):
+    data = random.Random(size).randbytes(size)
+    path = tmp_path / "data.bin"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        digest = cli.file_digest(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == "sha256:" + hashlib.sha256(data).hexdigest()
+    assert peak < 3 << 20  # a few chunks, never the whole file

@@ -9,7 +9,6 @@ canonicalisation.  The column forms must reproduce them float for float,
 signed zeros included, so results are compared through ``repr``.
 """
 
-import dataclasses
 import json
 import random
 import tracemalloc
@@ -331,9 +330,13 @@ class TestFlatGammaChecks:
 
 
 def test_columns_replace_the_triples():
-    names = [f.name for f in dataclasses.fields(MonotoneRC)]
+    names = list(MonotoneRC._fields)
     assert names == ["xs", "lefts", "values", "tail_left", "tail_right", "orientation"]
     c = MonotoneRC(((0.0, 0.0, 0.5), (1.0, 0.5, 1.0)), 0.0, 1.0)
+    assert repr(c) == (
+        "MonotoneRC(xs=(0.0, 1.0), lefts=(0.0, 0.5), values=(0.5, 1.0), "
+        "tail_left=0.0, tail_right=1.0, orientation='nondecreasing')"
+    )
     assert c.points == ((0.0, 0.0, 0.5), (1.0, 0.5, 1.0))
     assert (c.xs, c.lefts, c.values) == ((0.0, 1.0), (0.0, 0.5), (0.5, 1.0))
 

@@ -4,7 +4,10 @@ import graph that keeps the reference routes off the runtime path.
 The public names resolve lazily from one table in ``lambdavar/__init__.py``;
 the tests here pin that table's names, resolve each through ``from lambdavar
 import``, and check in fresh interpreters that ``compute``, ``duality`` and
-``plot`` never load ``oracles`` or ``checks``.  The demos run end to end.
+``plot`` never load ``oracles`` or ``checks``, that no command loads
+``dataclasses``, and that only the suites that use them load ``oracles`` and
+only the commands that digest a file load ``hashlib``.  The demos run end to
+end.
 """
 
 import ast
@@ -185,6 +188,63 @@ def test_runtime_commands_leave_the_oracles_unloaded(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen[:-1] == [[False, False]] * len(runtime)
     assert seen[-1] == [True, True]
+
+
+COMMANDS = {
+    **{
+        f"compute-{m}": ["compute", "--data", "data.csv", "--profile", "step.json",
+                         "--measure", m, "--out", "r.json"]
+        for m in ("lambda-var", "entropic", "certainty-eq", "worst-case")
+    },
+    "compute-var": ["compute", "--data", "data.csv", "--measure", "var", "--lambda", "0.25",
+                    "--out", "r.json"],
+    "duality": ["duality", "--data", "data.csv", "--profile", "step.json",
+                "--functions", "20", "--delta", "0.5", "--out", "r.json"],
+    "plot": ["plot", "--data", "data.csv", "--profile", "step.json", "--out", "p.svg"],
+    **{
+        f"check-{s}": ["check", "--suite", s, "--trials", "3", "--out", "r.json"]
+        for s in ("mon", "qco", "translation", "reductions", "cfa", "cfb-counterexample",
+                  "duality-sandwich")
+    },
+}
+
+ORACLE_SUITES = {"check-translation", "check-duality-sandwich"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_loads_only_what_it_runs(command, tmp_path):
+    """The modules a command adds to those of a bare interpreter."""
+    (tmp_path / "data.csv").write_text("value\n-10\n-5\n0\n5\n")
+    (tmp_path / "step.json").write_text(
+        json.dumps({"type": "step", "lambda_min": 0.1, "lambda_max": 0.3, "threshold": 0.0})
+    )
+    proc = python(
+        tmp_path,
+        "-c",
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "from lambdavar.cli import main\n"
+        f"status = main({COMMANDS[command]!r})\n"
+        "added = sorted(set(sys.modules) - bare)\n"
+        "import json\n"
+        "print(json.dumps([status, added]))\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, added = json.loads(proc.stdout.splitlines()[-1])
+    assert status == 0
+    assert "lambdavar.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added)
+    assert ("lambdavar.oracles" in added) == (command in ORACLE_SUITES)
+    if command.startswith("check-"):
+        assert "hashlib" not in added
+
+
+def test_no_module_imports_dataclasses_at_module_level():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 8
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert "dataclasses" not in {n.split(".")[0] for n in _module_level_imports(tree)}, path
 
 
 def _module_level_imports(node):
