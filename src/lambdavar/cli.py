@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from itertools import islice
 
 from .curves import Cdf, dirac, from_samples, mixture, piecewise_cdf, uniform
 from .dual import ExpNeg, profile_gamma, ramp_ladder, representation_bound
@@ -70,18 +69,19 @@ def read_csv_samples(path: str):
 
     Parsed straight from the file object, so neither the text nor its lines
     are held.  A line that float() refuses, such as a blank line or a
-    separator that str.strip() removes and float() keeps, hands the rest of
-    the file, from that line on, to the line-by-line parse.  If that parse
-    fails too, or a byte is not UTF-8, or the stream cannot rewind, the
-    line-by-line parse reads the whole text, and decides and names the
-    offending line or byte.
+    separator that str.strip() removes and float() keeps, hands the file to
+    the line-by-line parse, which decides and names the offending line; so
+    does a stream that cannot rewind.
     """
     with open(path, "r", encoding="utf-8") as fh:
         samples = None
         if fh.seekable():
             try:
-                samples = _parse_stream(path, fh)
+                head = fh.readline()
+                samples = [] if head.strip().lower() == "value" else [float(head)]
+                samples.extend(map(float, fh))
             except ValueError:
+                samples = None
                 fh.seek(0)
         if samples is None:
             samples = _parse_lines(path, fh.read().split("\n"))
@@ -90,30 +90,9 @@ def read_csv_samples(path: str):
     return samples
 
 
-def _parse_stream(path: str, fh):
+def _parse_lines(path: str, lines):
     samples = []
-    done = 0  # lines parsed: the header, then one per sample
-    try:
-        head = fh.readline()
-        if head.strip().lower() == "value":
-            done = 1
-        else:
-            samples.append(float(head))
-        samples.extend(map(float, fh))
-    except UnicodeDecodeError:
-        raise  # to the whole-text parse, which names the byte
-    except ValueError:
-        # extend kept the samples parsed before the line float() refused
-        done += len(samples)
-        fh.seek(0)
-        samples.extend(_parse_lines(path, islice(fh, done, None), done + 1))
-    return samples
-
-
-def _parse_lines(path: str, lines, start: int = 1):
-    """The samples of the lines, numbered from start, that are not blank."""
-    samples = []
-    for lineno, raw in enumerate(lines, start):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line:
             continue

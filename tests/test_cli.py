@@ -624,19 +624,6 @@ class TestStreamingCsv:
             b"value\n1\n2\nnope\n",
             b"1\n2\n3",  # no header, no final newline
             b"value\n1\n\xff\n",  # not UTF-8
-            # the line loop resumes at the refused line, with its true number
-            b"nope\n1\n2\n",  # a bad first line
-            b"1\nnope\n2\n",  # a bad second line
-            b"value\nnope\n2\n",
-            b"value\n1\n2\nnope\n3\n4\n",  # a bad line in the middle
-            b"value\n1\n\nnope\n2\n",  # a blank line, then a bad one
-            b"value\n1\n\n\n2\n\n \n3\n\n\n",  # several blank lines
-            b"value\r\n1\r\n\r\n2\r\n",
-            b"1\n\nvalue\n",  # a header after line 1 is not one
-            b"\n\nvalue\n1\n",
-            # resumed past the decoder's first chunk, the whole text decides
-            b"value\n1\n\n" + b"2\n" * 10000 + b"\xff\n",
-            b"value\nnope\n" + b"2\n" * 10000 + b"\xff\n",
         ],
     )
     def test_matches_the_split_reader(self, tmp_path, data):
@@ -660,22 +647,6 @@ class TestStreamingCsv:
         path = tmp_path / "data.csv"
         path.write_bytes(data)
         assert read_csv_samples(str(path)) == [1.0, -2.5]
-
-    def test_a_trailing_blank_line_resumes_at_that_line(self, tmp_path, monkeypatch):
-        parse_lines = cli._parse_lines
-        fed = []
-
-        def counted(path, lines, start=1):
-            lines = list(lines)
-            fed.append((start, len(lines)))
-            return parse_lines(path, lines, start)
-
-        monkeypatch.setattr(cli, "_parse_lines", counted)
-        path = tmp_path / "data.csv"
-        path.write_bytes(b"value\n" + b"".join(b"%d\n" % k for k in range(100_000)) + b"\n")
-        got = read_csv_samples(str(path))
-        assert fed == [(100_002, 1)]
-        assert got == [float(k) for k in range(100_000)]
 
     def test_a_pipe_falls_back_without_rewinding(self, tmp_path):
         path = tmp_path / "pipe"
