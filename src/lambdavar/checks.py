@@ -5,7 +5,8 @@ arithmetic -- sums, translations, mixtures with power-of-two atom counts --
 is exact in floating point.  Identities asserted with zero tolerance really
 hold bit-for-bit on that class; everything else carries an explicit
 tolerance.  The two suites that compare with the reference routes import
-``oracles`` when they run, so the other suites never load it.
+``oracles`` when they run, and only the test functions import ``dual``, so
+the other suites load neither.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 
-from . import curves, dual, profiles
+from . import curves, profiles
 from .curves import Cdf, _Record, from_samples, mixture, truncate_left, uniform
 from .exceptions import BracketError, DualRangeError
 from .measures import lambda_var, value_at_risk, worst_case
@@ -100,6 +101,8 @@ def random_profile(rng) -> LossProfile:
 
 
 def random_test_function(rng) -> dual.TestFunction:
+    from . import dual
+
     k = rng.randint(2, 6)
     xs = sorted(rng.sample(range(-8 * GRAIN, 8 * GRAIN), k))
     ys = sorted((rng.randint(-GRAIN, GRAIN) / GRAIN for _ in range(k)), reverse=True)
@@ -271,7 +274,7 @@ def suite_cfb_counterexample(trials: int, seed: int, tol: float = 1e-9) -> Suite
 
 def suite_duality_sandwich(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
     """Weak duality plus the brute-force sandwich around gamma."""
-    from . import oracles
+    from . import dual, oracles
 
     rng = random.Random(seed)
     violations = 0

@@ -20,7 +20,6 @@ import os
 import sys
 
 from .curves import Cdf, dirac, from_samples, mixture, piecewise_cdf, uniform
-from .dual import ExpNeg, profile_gamma, ramp_ladder, representation_bound
 from .exceptions import BracketError, DualRangeError, InfeasibleProfileError
 from .measures import (
     certainty_equivalent,
@@ -209,6 +208,10 @@ class _Unwritable(Exception):
 
 
 def cmd_compute(args) -> dict:
+    if args.measure == "lambda-var" and not args.profile:
+        raise ValueError("--measure lambda-var requires --profile")
+    if args.measure == "var" and args.lam is None:
+        raise ValueError("--measure var requires --lambda")
     p = load_distribution(args.data)
     inputs = {
         "data": args.data,
@@ -218,8 +221,6 @@ def cmd_compute(args) -> dict:
     }
     diagnostics = {}
     if args.measure == "lambda-var":
-        if not args.profile:
-            raise ValueError("--measure lambda-var requires --profile")
         profile, echo = load_profile(args.profile)
         inputs["profile"] = echo
         report = lambda_var(p, profile)
@@ -229,8 +230,6 @@ def cmd_compute(args) -> dict:
             "finiteness_case": report.finiteness_case,
         }
     elif args.measure == "var":
-        if args.lam is None:
-            raise ValueError("--measure var requires --lambda")
         value = value_at_risk(p, args.lam)
     elif args.measure == "worst-case":
         value = worst_case(p)
@@ -239,6 +238,8 @@ def cmd_compute(args) -> dict:
     elif args.measure == "certainty-eq":
         # Exponential utility; same value as the entropic measure, reached
         # through exact integration plus bisection inversion.
+        from .dual import ExpNeg
+
         value = certainty_equivalent(p, ExpNeg())
     else:
         raise ValueError(f"unknown measure {args.measure!r}")
@@ -252,9 +253,11 @@ def cmd_compute(args) -> dict:
 
 
 def cmd_duality(args) -> dict:
-    p = load_distribution(args.data)
+    from .dual import profile_gamma, ramp_ladder, representation_bound
+
     if not args.profile:
         raise ValueError("duality requires --profile")
+    p = load_distribution(args.data)
     profile, echo = load_profile(args.profile)
     profile.require_feasible()
     fs = ramp_ladder(p, args.functions, args.delta)
@@ -398,16 +401,16 @@ def render_plot(p: Cdf, profile: LossProfile, x_star: float) -> str:
 
 
 def cmd_plot(args) -> dict:
-    p = load_distribution(args.data)
     if not args.profile:
         raise ValueError("plot requires --profile")
+    if not args.out:
+        raise ValueError("plot requires --out")
+    p = load_distribution(args.data)
     profile, _ = load_profile(args.profile)
     report = lambda_var(p, profile)
     if report.violation_point is None:
         raise BracketError("no finite violation point to mark")
     svg = render_plot(p, profile, report.violation_point)
-    if not args.out:
-        raise ValueError("plot requires --out")
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -432,9 +435,23 @@ def _env_tol() -> float:
     if raw is None:
         return DEFAULT_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
         raise ValueError(f"LVAR_TOL is not a number: {raw!r}") from None
+    if not math.isfinite(tol):
+        raise ValueError(f"LVAR_TOL is not a finite number: {raw!r}")
+    return tol
+
+
+def _finite(raw: str) -> float:
+    """argparse type of --tol and --lambda: reports hold no NaN or infinity."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {raw!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--data", required=True, help="CSV of outcomes or distribution JSON")
         sp.add_argument("--profile", help="profile JSON file")
         sp.add_argument("--out", help="write the report here instead of stdout")
-        sp.add_argument("--tol", type=float, default=tol_default)
+        sp.add_argument("--tol", type=_finite, default=tol_default)
 
     sp = sub.add_parser("compute", help="evaluate one risk measure")
     common(sp)
@@ -458,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["lambda-var", "var", "worst-case", "entropic", "certainty-eq"],
     )
-    sp.add_argument("--lambda", dest="lam", type=float, default=None)
+    sp.add_argument("--lambda", dest="lam", type=_finite, default=None)
     sp.set_defaults(fn=cmd_compute)
 
     sp = sub.add_parser("duality", help="certified dual lower bound and gap")
@@ -472,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="write the report here instead of stdout")
-    sp.add_argument("--tol", type=float, default=tol_default)
+    sp.add_argument("--tol", type=_finite, default=tol_default)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("plot", help="SVG of the CDF, the profile and the violation point")

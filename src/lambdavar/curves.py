@@ -558,18 +558,26 @@ def from_samples(xs) -> Cdf:
     floats equal those of the full build.  The merge walk reads this prefix
     and completes the curve only if it runs past it; any other read of the
     columns completes it first.  See ``_sample_columns`` for the build.
+
+    No pass makes a Python call per sample.  A NaN or an infinity makes the
+    running sum non-finite for good, so a finite sum proves every sample
+    finite; only a non-finite sum, which finite samples also give when it
+    overflows, is checked sample by sample.  Only the guard's truth is used,
+    so how ``sum`` rounds cannot change a result.  The prefix comes from
+    one comprehension, which keeps the samples in input order.
     """
     xs = list(map(float, xs))
     if not xs:
         raise ValueError("no data")
-    if not all(map(math.isfinite, xs)):
+    if not math.isfinite(sum(xs)) and not all(map(math.isfinite, xs)):
         raise ValueError("samples must be finite")
     n = len(xs)
     stride = n >> 10
     if stride:
         sample = sorted(xs[::stride])
         pivot = sample[len(sample) // 50]
-        head = sorted(filter(pivot.__ge__, xs))
+        head = [x for x in xs if x <= pivot]
+        head.sort()
         if len(head) < n:
             return Cdf(_LazyRC(_sample_columns(head, n), xs))
     xs.sort()

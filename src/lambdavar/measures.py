@@ -6,7 +6,8 @@ exactly by scanning merged breakpoints and solving affine crossings.  The
 classical measures are special cases (constant profile: Value at Risk; zero
 profile: worst case) and independent implementations of them double as exact
 cross-checks.  The bisection over acceptance levels that serves as the
-oracle for the whole construction lives in ``oracles``.
+oracle for the whole construction lives in ``oracles``.  Only the two
+integral measures import ``dual``, when they run.
 
 Values are floats; +inf means infinitely risky, and -inf is never returned
 (an infeasible profile raises instead).
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 
 from .curves import Cdf, _Record, first_above
-from .dual import ExpNeg, stieltjes
 from .exceptions import InfeasibleProfileError
 from .profiles import LossProfile
 
@@ -74,6 +74,8 @@ def certainty_equivalent(p: Cdf, f) -> float:
     by a positive factor leaves the certainty equivalent unchanged, and the
     re-based values neither overflow nor underflow to 0 on the support.
     """
+    from .dual import ExpNeg, stieltjes
+
     lo = p.support_lower
     hi = p.support_upper
     if lo == hi:
@@ -114,5 +116,7 @@ def entropic(p: Cdf) -> float:
     lower end of the support (the log-sum-exp form), so that no exponential
     overflows and the integral stays in (0, 1].
     """
+    from .dual import ExpNeg, stieltjes
+
     s = p.support_lower
     return math.log(stieltjes(ExpNeg(s), p.payload)) - s

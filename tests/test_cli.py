@@ -387,7 +387,7 @@ class TestSchema:
 
 class TestExitCodes:
     def test_bracket_failure_maps_to_4(self, capsys, monkeypatch, losses_csv, tmp_path):
-        from lambdavar import cli
+        from lambdavar import dual
         from lambdavar.exceptions import DualRangeError
 
         prof = write(tmp_path, "c.json", '{"type": "constant", "lambda": 0.25}')
@@ -395,7 +395,7 @@ class TestExitCodes:
         def fail(p, risk, fs, gamma, tol=1e-9):
             raise DualRangeError("dual variable out of range")
 
-        monkeypatch.setattr(cli, "representation_bound", fail)
+        monkeypatch.setattr(dual, "representation_bound", fail)
         code, out, err = run_cli(
             capsys, "duality", "--data", losses_csv, "--profile", prof,
             "--functions", "5", "--delta", "0.1",
@@ -509,11 +509,86 @@ class TestTolEnv:
         assert out == ""
         assert "LVAR_TOL" in err
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_env_exits_2(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("LVAR_TOL", raw)
+        code, out, err = run_cli(capsys, "check", "--suite", "reductions", "--trials", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: LVAR_TOL is not a finite number: {raw!r}\n"
+
     def test_plus_inf_encoding(self):
         from lambdavar.cli import encode_value
 
         assert encode_value(math.inf) == "+inf"
         assert encode_value(1.5) == 1.5
+
+
+class TestNonFiniteFlags:
+    """A report is strict JSON, so argparse refuses a NaN or infinite flag."""
+
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "+Infinity", "1e999"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--suite", "cfb-counterexample", "--trials", "1", "--tol"],
+            ["compute", "--measure", "worst-case", "--lambda"],
+            ["compute", "--measure", "var", "--lambda"],
+            ["compute", "--measure", "worst-case", "--tol"],
+            ["duality", "--tol"],
+        ],
+    )
+    def test_exits_2_naming_the_flag(self, capsys, losses_csv, argv, raw):
+        flag = argv[-1]
+        if argv[0] != "check":
+            argv = [argv[0], "--data", losses_csv, *argv[1:]]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv[:-1], f"{flag}={raw}"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"argument {flag}: not a finite number: {raw!r}" in captured.err
+
+    def test_a_non_number_keeps_the_argparse_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--suite", "mon", "--tol", "abc"])
+        assert exc.value.code == 2
+        assert "argument --tol: invalid float value: 'abc'" in capsys.readouterr().err
+
+    def test_finite_extremes_pass(self, capsys, losses_csv):
+        report = run_report(
+            capsys, "compute", "--data", losses_csv, "--measure", "worst-case",
+            "--lambda", "1e308", "--tol=-5e-324",
+        )
+        assert report["inputs"]["lambda"] == 1e308
+
+
+class TestFlagsBeforeData:
+    """A missing flag is reported before the data is read, and wins over bad data."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compute", "--measure", "lambda-var"], "--measure lambda-var requires --profile"),
+            (["compute", "--measure", "var"], "--measure var requires --lambda"),
+            (["duality"], "duality requires --profile"),
+            (["plot", "--out", "p.svg"], "plot requires --profile"),
+            (["plot"], "plot requires --profile"),
+            (["plot", "--profile", "step.json"], "plot requires --out"),
+        ],
+    )
+    def test_missing_flag_exits_2_without_reading(self, capsys, monkeypatch, argv, message):
+        def refuse(path):
+            raise AssertionError(f"read {path} before checking the flags")
+
+        monkeypatch.setattr(cli, "load_distribution", refuse)
+        code, out, err = run_cli(capsys, *argv, "--data", "missing.csv")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_plot_without_out_writes_nothing(self, capsys, tmp_path, losses_csv, step_json):
+        code, out, err = run_cli(capsys, "plot", "--data", losses_csv, "--profile", step_json)
+        assert (code, out, err) == (2, "", "error: plot requires --out\n")
+        assert list(tmp_path.glob("*.svg")) == []
 
 
 def read_csv_loop(path):

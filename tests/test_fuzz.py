@@ -3,15 +3,18 @@
 Distribution and profile objects are drawn from a grammar that mixes
 well-formed members with wrong types, missing keys, integers beyond float
 range, non-finite floats, nested mixtures and point lists that are too short
-or too long.  The parsers may only raise the errors the CLI maps to exit
-codes, and ``main`` must return 0, 2, 3, 4 or 5, never raise, and print a
-strict JSON report that validates against ``REPORT_SCHEMA`` whenever it
-returns 0.
+or too long.  ``--tol``, ``--lambda`` and ``LVAR_TOL`` are drawn too,
+NaN and infinities among them.  The parsers may only raise the errors the
+CLI maps to exit codes, and ``main`` must return 0, 2, 3, 4 or 5 (or leave
+through argparse's exit 2 on a flag it refuses), never raise otherwise, and
+print a strict JSON report that validates against ``REPORT_SCHEMA`` whenever
+it returns 0.
 """
 
 import contextlib
 import io
 import json
+import os
 
 import jsonschema
 import pytest
@@ -161,23 +164,48 @@ COMMANDS = [
 ]
 
 
+FLAG_VALUE = st.sampled_from(
+    ["1e-9", "0.05", "0", "-1", "1e308", "nan", "NaN", "inf", "-inf", "Infinity", "1e999"]
+)
+OPTIONAL_FLAG = st.none() | FLAG_VALUE
+
+
 def not_json(name):
     raise AssertionError(f"the report holds {name}, which JSON does not allow")
 
 
-@given(DISTRIBUTIONS, PROFILES)
-def test_main_exits_with_a_documented_code(workdir, dist, profile):
+@given(DISTRIBUTIONS, PROFILES, OPTIONAL_FLAG, OPTIONAL_FLAG, OPTIONAL_FLAG)
+def test_main_exits_with_a_documented_code(workdir, dist, profile, tol, lam, env_tol):
     data, prof = workdir / "data.json", workdir / "profile.json"
     data.write_text(json.dumps(dist))
     prof.write_text(json.dumps(profile))
     for command in COMMANDS:
         argv = [*command, "--data", str(data), "--profile", str(prof)]
+        if tol is not None:
+            argv.append(f"--tol={tol}")
+        if lam is not None and command[0] == "compute":
+            argv.append(f"--lambda={lam}")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            code = run_main(argv, env_tol)
         assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
         if code == 0:
             report = json.loads(out.getvalue(), parse_constant=not_json)
             jsonschema.validate(report, REPORT_SCHEMA)
         else:
             assert out.getvalue() == ""
+
+
+def run_main(argv, env_tol):
+    """main's exit code, with LVAR_TOL set to env_tol unless it is None."""
+    saved = os.environ.pop("LVAR_TOL", None)
+    if env_tol is not None:
+        os.environ["LVAR_TOL"] = env_tol
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refused a flag
+        return exc.code
+    finally:
+        os.environ.pop("LVAR_TOL", None)
+        if saved is not None:
+            os.environ["LVAR_TOL"] = saved

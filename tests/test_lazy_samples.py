@@ -6,15 +6,21 @@ needs more.  The oracle below is the eager build as it was written before:
 sort all the samples, then the same C-level passes.  The lazy curve must
 equal it float for float, signed zeros included, whichever read completes
 it, and every answer read from its prefix must be the eager curve's.
+
+The finiteness guard and the prefix selection are also checked against the
+two per-sample passes they replaced, kept below as oracles: the same error
+for every non-finite input, the same curve for finite samples whose sum
+overflows, and the same prefix, signed zeros included.
 """
 
 import json
+import math
 import random
 from itertools import compress, islice, repeat
 from operator import ne, truediv
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambdavar import (
@@ -31,7 +37,7 @@ from lambdavar import (
     step_profile,
 )
 from lambdavar.cli import main
-from lambdavar.curves import _crossing_point, _LazyRC
+from lambdavar.curves import _crossing_point, _LazyRC, _sample_columns
 
 # ---------- oracle ----------
 
@@ -49,6 +55,21 @@ def from_samples_eager(xs):
         cuts.append(n)
     shares = tuple(map(truediv, cuts, repeat(n)))
     return Cdf(MonotoneRC(zip(xs, shares[:-1], shares[1:]), 0.0, 1.0))
+
+
+def check_finite_by_sample(xs):
+    """The per-sample finiteness pass that the guard on the sum replaced."""
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("samples must be finite")
+
+
+def prefix_by_filter(xs):
+    """The prefix columns as the C-level filter selected them, at the pivot
+    of from_samples: the 2 % rank of every (n >> 10)-th sample."""
+    n = len(xs)
+    sample = sorted(xs[:: n >> 10])
+    pivot = sample[len(sample) // 50]
+    return _sample_columns(sorted(filter(pivot.__ge__, xs)), n)
 
 
 def is_lazy(p):
@@ -172,6 +193,94 @@ class TestAgainstEagerBuild:
         pe, qe = from_samples_eager(xs), from_samples_eager(ys)
         assert dominates(from_samples(xs), from_samples(ys)) is dominates(pe, qe)
         assert repr(mixture(from_samples(xs), from_samples(ys), lam)) == repr(mixture(pe, qe, lam))
+
+
+# ---------- the finiteness guard and the prefix selection ----------
+
+
+@st.composite
+def non_finite_samples(draw):
+    """Samples, fewer or more than 1024, with NaN or an infinity put at the
+    first, middle or last position or at a stride index."""
+    xs = draw(sample_lists(st.one_of(st.integers(10, 1023), st.sampled_from(STRIDE_EDGES),
+                                     st.integers(1024, 3000))))
+    n = len(xs)
+    stride = max(1, n >> 10)
+    for _ in range(draw(st.integers(1, 3))):
+        where = draw(st.sampled_from(["first", "middle", "last", "stride"]))
+        if where == "stride":
+            i = stride * draw(st.integers(0, (n - 1) // stride))
+        else:
+            i = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+        xs[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return xs
+
+
+@st.composite
+def huge_samples(draw):
+    """Finite samples near the float limit, whose running sum may overflow."""
+    n = draw(st.one_of(st.integers(1, 1023), st.sampled_from(STRIDE_EDGES)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    signs = draw(st.sampled_from([(1.0,), (-1.0,), (1.0, -1.0)]))
+    return [rng.choice(signs) * rng.uniform(1e306, 1.7976931348623157e308) for _ in range(n)]
+
+
+class TestAgainstPerSamplePasses:
+    @given(non_finite_samples())
+    def test_non_finite_samples_raise_as_before(self, xs):
+        with pytest.raises(ValueError) as want:
+            check_finite_by_sample(xs)
+        with pytest.raises(Exception) as got:
+            from_samples(xs)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value) == "samples must be finite"
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [1e308] * 2048,
+            [-1e308] * 2048,
+            [1e308, -1e308] * 1024,  # the running sum stays finite
+            [1e308] * 2 + [-1e308] * 2046,  # it overflows at once and stays +inf
+            [-1e308] * 1000 + [1e308] * 1000 + [0.0] * 48,
+            [1e308, 1e308, 0.5],  # fewer than 1024: built eagerly
+        ],
+    )
+    def test_finite_samples_whose_sum_overflows_build(self, xs):
+        assert not math.isfinite(sum(xs)) or xs == [1e308, -1e308] * 1024
+        assert repr(from_samples(xs)) == repr(from_samples_eager(xs))
+
+    @settings(max_examples=30)
+    @given(huge_samples())
+    def test_huge_samples_build_as_eagerly(self, xs):
+        assert repr(from_samples(xs)) == repr(from_samples_eager(xs))
+
+    @given(sample_lists())
+    def test_prefix_is_the_filter_it_replaced(self, xs):
+        p = from_samples(xs)
+        if not is_lazy(p):
+            return
+        prefix = p.payload._prefix
+        assert repr((prefix.xs, prefix.lefts, prefix.values)) == repr(prefix_by_filter(xs))
+
+    @pytest.mark.parametrize("pivot_zero", [-0.0, 0.0])
+    @pytest.mark.parametrize("first", [-0.0, 0.0])
+    def test_prefix_keeps_signed_zero_ties_at_the_pivot(self, pivot_zero, first):
+        # 2048 samples, stride 2: the 2 % rank of the even-indexed ones is a
+        # zero of sign pivot_zero, zeros of both signs tie with it, and the
+        # first zero in input order, at an odd index, is first
+        xs = [float(k) for k in range(1, 2049)]
+        for k in range(0, 40, 2):
+            xs[k] = -1.0 - k
+        for k in range(39, 100):
+            xs[k] = -first if k % 3 else first
+        xs[39], xs[40] = first, pivot_zero
+        p = from_samples(xs)
+        assert is_lazy(p)
+        prefix = p.payload._prefix
+        assert prefix.xs[-1] == 0.0 and repr(prefix.xs[-1]) == repr(first)
+        assert repr((prefix.xs, prefix.lefts, prefix.values)) == repr(prefix_by_filter(xs))
+        assert repr(p) == repr(from_samples_eager(xs))
 
 
 # ---------- named cases ----------

@@ -5,8 +5,9 @@ The public names resolve lazily from one table in ``lambdavar/__init__.py``;
 the tests here pin that table's names, resolve each through ``from lambdavar
 import``, and check in fresh interpreters that ``compute``, ``duality`` and
 ``plot`` never load ``oracles`` or ``checks``, that no command loads
-``dataclasses``, and that only the suites that use them load ``oracles`` and
-only the commands that digest a file load ``hashlib``.  The demos run end to
+``dataclasses``, and that only the suites that use them load ``oracles``,
+only the commands that digest a file load ``hashlib``, and only the commands
+that integrate against a test function load ``dual``.  The demos run end to
 end.
 """
 
@@ -209,6 +210,8 @@ COMMANDS = {
 }
 
 ORACLE_SUITES = {"check-translation", "check-duality-sandwich"}
+# check-translation loads dual through oracles
+DUAL_COMMANDS = {"compute-entropic", "compute-certainty-eq", "duality", *ORACLE_SUITES}
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -235,6 +238,7 @@ def test_each_command_loads_only_what_it_runs(command, tmp_path):
     assert "lambdavar.cli" in added
     assert not {"dataclasses", "inspect"} & set(added)
     assert ("lambdavar.oracles" in added) == (command in ORACLE_SUITES)
+    assert ("lambdavar.dual" in added) == (command in DUAL_COMMANDS)
     if command.startswith("check-"):
         assert "hashlib" not in added
 
@@ -268,6 +272,14 @@ def test_runtime_modules_import_no_oracle_at_module_level(module):
     names = list(_module_level_imports(tree))
     assert names, "the parse found no imports at all"
     assert [n for n in names if {"oracles", "checks"} & set(n.split("."))] == []
+
+
+@pytest.mark.parametrize("module", ["cli", "measures", "checks"])
+def test_dual_loads_only_inside_the_functions_that_use_it(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    names = list(_module_level_imports(tree))
+    assert names, "the parse found no imports at all"
+    assert [n for n in names if "dual" in n.split(".")] == []
 
 
 @pytest.mark.parametrize("demo", ["risk_profiles.py", "dual_bounds.py"])
