@@ -170,6 +170,21 @@ FLAG_VALUE = st.sampled_from(
 OPTIONAL_FLAG = st.none() | FLAG_VALUE
 
 
+def run_main(argv, env_tol):
+    """main's exit code, with LVAR_TOL set to env_tol unless it is None."""
+    saved = os.environ.pop("LVAR_TOL", None)
+    if env_tol is not None:
+        os.environ["LVAR_TOL"] = env_tol
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refused a flag
+        return exc.code
+    finally:
+        os.environ.pop("LVAR_TOL", None)
+        if saved is not None:
+            os.environ["LVAR_TOL"] = saved
+
+
 def not_json(name):
     raise AssertionError(f"the report holds {name}, which JSON does not allow")
 
@@ -195,17 +210,3 @@ def test_main_exits_with_a_documented_code(workdir, dist, profile, tol, lam, env
         else:
             assert out.getvalue() == ""
 
-
-def run_main(argv, env_tol):
-    """main's exit code, with LVAR_TOL set to env_tol unless it is None."""
-    saved = os.environ.pop("LVAR_TOL", None)
-    if env_tol is not None:
-        os.environ["LVAR_TOL"] = env_tol
-    try:
-        return main(argv)
-    except SystemExit as exc:  # argparse refused a flag
-        return exc.code
-    finally:
-        os.environ.pop("LVAR_TOL", None)
-        if saved is not None:
-            os.environ["LVAR_TOL"] = saved
