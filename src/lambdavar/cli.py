@@ -14,9 +14,11 @@ cushion, so risk 5 means the position is as risky as losing 5 for sure.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
+import stat
 import sys
 
 from .curves import Cdf, dirac, from_samples, mixture, piecewise_cdf, uniform
@@ -63,35 +65,158 @@ REPORT_SCHEMA = {
 # ---------- input parsing ----------
 
 
+# A range smaller than _RANGE_BYTES costs more to fork than it saves.
+_RANGE_BYTES = 2 << 20
+_MAX_RANGES = 8
+_BLOCK_BYTES = 1 << 20
+
+
 def read_csv_samples(path: str):
     """The samples of a CSV file: one number per line, an optional header.
 
-    Parsed straight from the file object, so neither the text nor its lines
-    are held.  A line that float() refuses, such as a blank line or a
-    separator that str.strip() removes and float() keeps, hands the file to
-    the line-by-line parse, which decides and names the offending line; so
-    does a stream that cannot rewind.
+    A regular file is cut at newlines into one byte range per usable CPU, at
+    most 8 and each at least _RANGE_BYTES.  The first range is parsed here
+    and each later one in a forked worker, which sends its floats back as
+    raw doubles, so every float is the one float() gives.  A small file, a
+    single CPU, a live second thread or a platform without fork means one
+    range, parsed here.  If float() refuses a piece in any range (a blank
+    line, a byte that is not ASCII, a separator that str.strip() removes and
+    float() keeps), or a worker fails, the whole file goes to the
+    line-by-line parse, which decides and names the offending line.  A pipe
+    or FIFO goes there straight, and so does any file where os has no pread.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        samples = None
-        if fh.seekable():
-            try:
-                head = fh.readline()
-                samples = [] if head.strip().lower() == "value" else [float(head)]
-                samples.extend(map(float, fh))
-            except ValueError:
-                samples = None
-                fh.seek(0)
-        if samples is None:
-            samples = _parse_lines(path, fh.read().split("\n"))
-    if not samples:
-        raise ValueError(f"{path}: no data")
+    with open(path, "rb") as fh:
+        if hasattr(os, "pread") and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            samples = _read_ranges(fh.fileno())
+            if samples:
+                return samples
+        return _parse_lines(path, _text(fh.read()))
+
+
+def _read_ranges(fd: int):
+    """The samples of a regular file by byte range, or None for the line loop."""
+    size = os.fstat(fd).st_size
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    n = min(_MAX_RANGES, cpus, size // _RANGE_BYTES)
+    head, newline, _ = os.pread(fd, 256, 0).partition(b"\n")
+    # A lone \r ends a line in text mode: after one, the word is on line 2.
+    is_header = newline and head.rstrip().lstrip(b" \t\v\f").lower() == b"value"
+    skip = len(head) + 1 if is_header else 0
+    try:
+        bounds = [skip, *(_line_start(fd, size * k // n) for k in range(1, n)), size]
+        ranges = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+        if len(ranges) > 1 and hasattr(os, "fork"):
+            import threading  # a fork copies only the calling thread
+
+            if threading.active_count() == 1:
+                return _parse_forked(fd, ranges)
+        return _parse_range(fd, skip, size)
+    except (ValueError, OSError):
+        return None
+
+
+def _line_start(fd: int, pos: int) -> int:
+    """The first line start at or after pos > 0, within a block of it."""
+    nl = os.pread(fd, _BLOCK_BYTES, pos - 1).find(b"\n")
+    if nl < 0:
+        raise ValueError("a line longer than a block")
+    return pos + nl
+
+
+def _parse_range(fd: int, start: int, end: int) -> list:
+    """The floats of the lines in bytes [start, end), read a block at a time.
+
+    Raises ValueError where float() refuses a piece, where a line is longer
+    than a block and where the file is shorter than it was.
+    """
+    samples = []
+    pos = start
+    while pos < end:
+        want = min(_BLOCK_BYTES, end - pos)
+        block = os.pread(fd, want, pos)
+        if len(block) < want:
+            raise ValueError("the file shrank")
+        pieces = block.split(b"\n")
+        if pos + want < end:  # stop at the last newline; the next block starts there
+            if len(pieces) == 1:
+                raise ValueError("a line longer than a block")
+            pos += want - len(pieces.pop())
+        else:
+            if not pieces[-1]:  # the empty piece after the final newline
+                pieces.pop()
+            pos = end
+        samples.extend(map(float, pieces))
     return samples
 
 
-def _parse_lines(path: str, lines):
+def _parse_forked(fd: int, ranges) -> list | None:
+    """ranges[0] parsed here and each later range in a forked worker, in order.
+
+    None if a worker fails.  Every worker is reaped before this returns, and
+    killed first if the parse here raised.
+    """
+    import signal
+    from array import array
+
+    pids, pipes = [], []
+    try:
+        for start, end in ranges[1:]:
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fd, start, end, w, pipes)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        samples = _parse_range(fd, *ranges[0])
+        for r in pipes:
+            part = array("d")
+            with open(r, "rb", closefd=False) as pipe:
+                part.frombytes(pipe.read())
+            samples.extend(part)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for r in pipes:
+            os.close(r)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    return None if any(statuses) else samples
+
+
+def _work(fd: int, start: int, end: int, w: int, pipes) -> None:
+    """A forked worker: parse one range, write its doubles to w, and leave.
+
+    A worker whose caller has died gets BrokenPipeError at the write.
+    """
+    from array import array
+
+    status = 1
+    try:
+        for r in pipes:
+            os.close(r)
+        doubles = array("d", _parse_range(fd, start, end))
+        with open(w, "wb") as pipe:
+            pipe.write(doubles)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _text(data: bytes) -> str:
+    """The bytes as a text-mode read gives them: UTF-8, universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+
+
+def _parse_lines(path: str, text: str):
     samples = []
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line:
             continue
@@ -101,6 +226,8 @@ def _parse_lines(path: str, lines):
             samples.append(float(line))
         except ValueError:
             raise ValueError(f"{path}:{lineno}: not a number: {line!r}")
+    if not samples:
+        raise ValueError(f"{path}: no data")
     return samples
 
 
@@ -133,19 +260,42 @@ def _load_json(path: str, parse):
     integers have no size limit, so one that no float can hold is one too.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-            return obj, parse(obj)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-        except OverflowError:
-            raise ValueError(f"{path}: number out of float range") from None
+        return _parse_json(path, fh.read(), parse)
+
+
+def _parse_json(path: str, text: str, parse):
+    try:
+        obj = json.loads(text)
+        return obj, parse(obj)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    except OverflowError:
+        raise ValueError(f"{path}: number out of float range") from None
 
 
 def load_distribution(path: str) -> Cdf:
     if path.endswith(".json"):
         return _load_json(path, parse_distribution)[1]
     return from_samples(read_csv_samples(path))
+
+
+def _load_data(path: str):
+    """The distribution in --data and the digest of the bytes it was parsed from.
+
+    A pipe or FIFO is read once, since a second open would find it drained
+    or wait for a writer that never comes.
+    """
+    if stat.S_ISREG(os.stat(path).st_mode):
+        return load_distribution(path), file_digest(path)
+    import hashlib
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if path.endswith(".json"):
+        p = _parse_json(path, _text(data), parse_distribution)[1]
+    else:
+        p = from_samples(_parse_lines(path, _text(data)))
+    return p, "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def parse_profile(obj) -> LossProfile:
@@ -212,10 +362,10 @@ def cmd_compute(args) -> dict:
         raise ValueError("--measure lambda-var requires --profile")
     if args.measure == "var" and args.lam is None:
         raise ValueError("--measure var requires --lambda")
-    p = load_distribution(args.data)
+    p, digest = _load_data(args.data)
     inputs = {
         "data": args.data,
-        "data_digest": file_digest(args.data),
+        "data_digest": digest,
         "profile": None,
         "lambda": args.lam,
     }
@@ -257,7 +407,7 @@ def cmd_duality(args) -> dict:
 
     if not args.profile:
         raise ValueError("duality requires --profile")
-    p = load_distribution(args.data)
+    p, digest = _load_data(args.data)
     profile, echo = load_profile(args.profile)
     profile.require_feasible()
     fs = ramp_ladder(p, args.functions, args.delta)
@@ -273,7 +423,7 @@ def cmd_duality(args) -> dict:
         "report": "duality",
         "inputs": {
             "data": args.data,
-            "data_digest": file_digest(args.data),
+            "data_digest": digest,
             "profile": echo,
             "functions": args.functions,
             "delta": args.delta,
