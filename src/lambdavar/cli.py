@@ -100,13 +100,14 @@ def _read_ranges(fd: int):
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    n = min(_MAX_RANGES, cpus, size // _RANGE_BYTES)
     head, newline, _ = os.pread(fd, 256, 0).partition(b"\n")
     # A lone \r ends a line in text mode: after one, the word is on line 2.
     is_header = newline and head.rstrip().lstrip(b" \t\v\f").lower() == b"value"
     skip = len(head) + 1 if is_header else 0
+    n = min(_MAX_RANGES, cpus, (size - skip) // _RANGE_BYTES)
     try:
-        bounds = [skip, *(_line_start(fd, size * k // n) for k in range(1, n)), size]
+        cuts = (_line_start(fd, skip + (size - skip) * k // n) for k in range(1, n))
+        bounds = [skip, *cuts, size]
         ranges = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
         if len(ranges) > 1 and hasattr(os, "fork"):
             import threading  # a fork copies only the calling thread
@@ -119,11 +120,14 @@ def _read_ranges(fd: int):
 
 
 def _line_start(fd: int, pos: int) -> int:
-    """The first line start at or after pos > 0, within a block of it."""
-    nl = os.pread(fd, _BLOCK_BYTES, pos - 1).find(b"\n")
-    if nl < 0:
-        raise ValueError("a line longer than a block")
-    return pos + nl
+    """The first line start at or after pos > 0 within a block, or the end of file."""
+    block = os.pread(fd, _BLOCK_BYTES, pos - 1)
+    nl = block.find(b"\n")
+    if nl >= 0:
+        return pos + nl
+    if len(block) < _BLOCK_BYTES:
+        return pos - 1 + len(block)
+    raise ValueError("a line longer than a block")
 
 
 def _parse_range(fd: int, start: int, end: int) -> list:
