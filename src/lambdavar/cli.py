@@ -65,7 +65,8 @@ REPORT_SCHEMA = {
 # ---------- input parsing ----------
 
 
-# A range smaller than _RANGE_BYTES costs more to fork than it saves.
+# Each range holds at least _RANGE_BYTES, so a file of a few 10^4 lines stays
+# in one range and is parsed without a fork.
 _RANGE_BYTES = 2 << 20
 _MAX_RANGES = 8
 _BLOCK_BYTES = 1 << 20
@@ -96,9 +97,9 @@ def read_csv_samples(path: str):
 def _read_ranges(fd: int):
     """The samples of a regular file by byte range, or None for the line loop."""
     size = os.fstat(fd).st_size
-    try:
+    if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
+    else:
         cpus = os.cpu_count() or 1
     head, newline, _ = os.pread(fd, 256, 0).partition(b"\n")
     # A lone \r ends a line in text mode: after one, the word is on line 2.
@@ -257,17 +258,18 @@ def parse_distribution(obj) -> Cdf:
 
 
 def _load_json(path: str, parse):
-    """(object, parse(object)) for a JSON file.
-
-    Both ``json.load`` and ``parse_distribution`` recurse once per level of
-    nesting, so input nested past the recursion limit is a parse error.  JSON
-    integers have no size limit, so one that no float can hold is one too.
-    """
+    """(object, parse(object)) for a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
         return _parse_json(path, fh.read(), parse)
 
 
 def _parse_json(path: str, text: str, parse):
+    """(object, parse(object)) for the JSON text read from path.
+
+    Both ``json.loads`` and ``parse_distribution`` recurse once per level of
+    nesting, so input nested past the recursion limit is a parse error.  JSON
+    integers have no size limit, so one that no float can hold is one too.
+    """
     try:
         obj = json.loads(text)
         return obj, parse(obj)
@@ -295,10 +297,11 @@ def _load_data(path: str):
 
     with open(path, "rb") as fh:
         data = fh.read()
+    text = _text(data)
     if path.endswith(".json"):
-        p = _parse_json(path, _text(data), parse_distribution)[1]
+        p = _parse_json(path, text, parse_distribution)[1]
     else:
-        p = from_samples(_parse_lines(path, _text(data)))
+        p = from_samples(_parse_lines(path, text))
     return p, "sha256:" + hashlib.sha256(data).hexdigest()
 
 

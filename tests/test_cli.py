@@ -3,8 +3,12 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -699,6 +703,11 @@ class TestStreamingCsv:
             b"value\n1\n2\nnope\n",
             b"1\n2\n3",  # no header, no final newline
             b"value\n1\n\xff\n",  # not UTF-8
+            b"\rvalue\n1\n",  # a lone \r puts the header on line 2
+            b" \r VALUE \r\n1\n",
+            b"value\r\r\n1\n",
+            b"value\r1\n2\n",
+            b"value\x1c\n1\n",  # a header only str.strip() recognises
         ],
     )
     def test_matches_the_split_reader(self, tmp_path, data):
@@ -713,15 +722,19 @@ class TestStreamingCsv:
         path.write_bytes((end.join(lines) + (end if last else "")).encode("utf-8"))
         assert csv_outcome(read_csv_samples, path) == csv_outcome(read_csv_split, path)
 
+    @pytest.mark.parametrize("split", [False, True])
     @pytest.mark.parametrize("data", [b"value\n1\n-2.5\n", b" VALUE \r\n1\r\n-2.5", b"1\n-2.5\n"])
-    def test_clean_files_never_reach_the_line_loop(self, tmp_path, monkeypatch, data):
+    def test_clean_files_never_reach_the_line_loop(self, tmp_path, monkeypatch, data, split):
         def refuse(path, lines):
             raise AssertionError("the line-by-line parse ran")
 
         monkeypatch.setattr(cli, "_parse_lines", refuse)
+        forks = split_into_ranges(monkeypatch) if split else []
         path = tmp_path / "data.csv"
         path.write_bytes(data)
         assert read_csv_samples(str(path)) == [1.0, -2.5]
+        assert len(forks) == split
+        assert_no_child_left()
 
     def test_a_pipe_falls_back_without_rewinding(self, tmp_path):
         path = tmp_path / "pipe"
@@ -735,6 +748,283 @@ class TestStreamingCsv:
         plain = tmp_path / "plain.csv"
         plain.write_bytes(data)
         assert repr(got) == repr(read_csv_split(str(plain))) == "[1.0, 2.0]"
+
+
+def split_into_ranges(monkeypatch, cpus=4):
+    """Make every file of two or more bytes split into up to `cpus` ranges.
+
+    Returns the list of worker pids that os.fork then starts.
+    """
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli, "_RANGE_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def refuse_fork():
+    raise AssertionError("the reader forked")
+
+
+def cut_of(data: bytes) -> int:
+    """Where two ranges meet in a file with a `value` header: the first line
+    start at or after the middle of the bytes after the header."""
+    middle = 6 + (len(data) - 6) // 2
+    return data.index(b"\n", middle - 1) + 1
+
+
+class TestRangeReader:
+    """The byte-range reader, split into 2-4 ranges, against the split-text reader."""
+
+    @given(st.lists(CSV_LINES, max_size=12), st.sampled_from(["\n", "\r\n", "\r"]),
+           st.booleans(), st.integers(2, 4))
+    def test_matches_the_split_reader_on_generated_files(
+        self, tmp_path_factory, lines, end, last, cpus
+    ):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes((end.join(lines) + (end if last else "")).encode("utf-8"))
+        with pytest.MonkeyPatch.context() as mp:
+            split_into_ranges(mp, cpus)
+            got = csv_outcome(read_csv_samples, path)
+        assert got == csv_outcome(read_csv_split, path)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("bad", [b"nope", b"nan", b"\xff", b"\r", b"", b"1\r2", b"\x1c"])
+    def test_a_bad_line_anywhere(self, tmp_path, monkeypatch, bad):
+        """The bad line in the caller's range, a worker's, and either side of the cut."""
+        forks = split_into_ranges(monkeypatch, cpus=2)
+        lines = [b"%d.25" % i for i in range(12)]
+        places = set()
+        for at in range(len(lines)):
+            data = b"value\n" + b"\n".join(lines[:at] + [bad] + lines[at + 1:]) + b"\n"
+            place = data.count(b"\n", 0, cut_of(data)) - 1 - at  # lines before the cut
+            places.add("caller" if place > 1 else "worker" if place < 0 else "cut")
+            path = tmp_path / f"bad{at}.csv"
+            path.write_bytes(data)
+            assert csv_outcome(read_csv_samples, path) == csv_outcome(read_csv_split, path)
+            assert_no_child_left()
+        assert places == {"caller", "worker", "cut"}
+        assert forks
+
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_signed_zeros_in_every_range(self, tmp_path, monkeypatch, final_newline):
+        forks = split_into_ranges(monkeypatch)
+        values = [-0.0, 0.0, 5e-324, -1.5, 0.0, -0.0, 1e308, -0.0]
+        data = "\n".join(map(repr, values)) + ("\n" if final_newline else "")
+        path = tmp_path / "zeros.csv"
+        path.write_text(data)
+        assert repr(read_csv_samples(str(path))) == repr(values)
+        assert len(forks) == 3
+        assert_no_child_left()
+
+    def test_a_failed_worker_sends_the_file_to_the_line_loop(self, tmp_path, monkeypatch):
+        forks = split_into_ranges(monkeypatch)
+        caller = os.getpid()
+        parse_range = cli._parse_range
+        parse_lines = cli._parse_lines
+        ran = []
+
+        def failing(fd, start, end):
+            if os.getpid() != caller:
+                os._exit(1)
+            return parse_range(fd, start, end)
+
+        def counted(path, text):
+            ran.append(path)
+            return parse_lines(path, text)
+
+        monkeypatch.setattr(cli, "_parse_range", failing)
+        monkeypatch.setattr(cli, "_parse_lines", counted)
+        for data in (b"value\n1\n-0.0\n3\n4e5\n", b"1\n2\n\n3\n4\n", b"1\n2\n3\nnope\n"):
+            path = tmp_path / "data.csv"
+            path.write_bytes(data)
+            ran.clear()
+            assert csv_outcome(read_csv_samples, path) == csv_outcome(read_csv_split, path)
+            assert ran == [str(path)]
+            assert_no_child_left()
+        assert forks
+
+    def test_a_bad_line_here_kills_a_slow_worker(self, tmp_path, monkeypatch):
+        forks = split_into_ranges(monkeypatch, cpus=2)
+        caller = os.getpid()
+        parse_range = cli._parse_range
+
+        def slow(fd, start, end):
+            if os.getpid() != caller:
+                time.sleep(60)
+            return parse_range(fd, start, end)
+
+        monkeypatch.setattr(cli, "_parse_range", slow)
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"nope\n1\n2\n3\n4\n5\n")
+        started = time.monotonic()
+        with pytest.raises(ValueError, match=r"data.csv:1: not a number: 'nope'"):
+            read_csv_samples(str(path))
+        assert time.monotonic() - started < 30
+        assert forks
+        assert_no_child_left()
+
+
+class TestNoFork:
+    """Where a fork is unsafe or impossible the reader parses one range here."""
+
+    DATA = b"value\n" + b"".join(b"%r\n" % (i / 7) for i in range(-20, 20))
+
+    def expected(self, tmp_path):
+        path = tmp_path / "plain.csv"
+        path.write_bytes(self.DATA)
+        return repr(read_csv_split(str(path)))
+
+    def test_not_with_a_second_thread_alive(self, tmp_path, monkeypatch):
+        expected = self.expected(tmp_path)
+        split_into_ranges(monkeypatch)
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        parked = threading.Event()
+        waiter = threading.Thread(target=parked.wait, daemon=True)
+        waiter.start()
+        try:
+            assert repr(read_csv_samples(str(tmp_path / "plain.csv"))) == expected
+        finally:
+            parked.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+
+    def test_not_without_os_fork(self, tmp_path, monkeypatch):
+        expected = self.expected(tmp_path)
+        split_into_ranges(monkeypatch)
+        monkeypatch.delattr(os, "fork")
+        assert repr(read_csv_samples(str(tmp_path / "plain.csv"))) == expected
+
+    def test_not_on_a_fifo(self, tmp_path, monkeypatch):
+        expected = self.expected(tmp_path)
+        split_into_ranges(monkeypatch)
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        fifo = tmp_path / "fifo.csv"
+        os.mkfifo(fifo)
+        # The writer is another process, so this one keeps a single thread.
+        writer = subprocess.Popen(
+            [sys.executable, "-c", "import sys; open(sys.argv[1], 'wb').write(sys.stdin.buffer.read())",
+             str(fifo)],
+            stdin=subprocess.PIPE,
+        )
+        try:
+            writer.stdin.write(self.DATA)
+            writer.stdin.close()
+            assert repr(read_csv_samples(str(fifo))) == expected
+        finally:
+            assert writer.wait(timeout=30) == 0
+        assert_no_child_left()
+
+
+SRC = str(Path(cli.__file__).resolve().parent.parent)
+
+
+def cli_process(argv, cwd, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m lambdavar.cli` in a fresh interpreter that finds this package first."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "lambdavar.cli", *argv], cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, timeout=60, **kwargs,
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_one_cpu_and_all_cpus_print_the_same(tmp_path):
+    rng = random.Random(10)
+    (tmp_path / "data.csv").write_text(
+        "value\n" + "".join(f"{rng.gauss(0.0, 1.0)!r}\n" for _ in range(300_000))
+    )
+    assert (tmp_path / "data.csv").stat().st_size >= 2 * cli._RANGE_BYTES
+    (tmp_path / "step.json").write_text(
+        json.dumps({"type": "step", "lambda_min": 0.01, "lambda_max": 0.05, "threshold": -1.0})
+    )
+    for measure in (["lambda-var", "--profile", "step.json"], ["var", "--lambda", "0.05"],
+                    ["entropic"]):
+        argv = ["compute", "--data", "data.csv", "--measure", *measure]
+        all_cpus = cli_process(argv, tmp_path)
+        one_cpu = cli_process(argv, tmp_path, preexec_fn=lambda: os.sched_setaffinity(0, {0}))
+        assert all_cpus.returncode == 0, all_cpus.stderr
+        assert one_cpu.stdout == all_cpus.stdout
+        assert one_cpu.stderr == all_cpus.stderr == b""
+
+
+def write_and_close(fd, data):
+    with open(fd, "wb") as fh:
+        fh.write(data)
+
+
+class TestDataNotARegularFile:
+    """--data on a pipe or a FIFO is read once: the digest is of the bytes parsed."""
+
+    CSV = b"value\n-10\n-5\r\n0\n5\n"
+    JSON = json.dumps({"type": "empirical", "samples": [-10, -5, 0, 5]}).encode()
+
+    def run_on(self, tmp_path, name, data, transport, argv):
+        """Run the CLI on `data` written into a pipe or a FIFO called `name`."""
+        if transport == "fifo":
+            os.mkfifo(tmp_path / name)
+            writer = threading.Thread(target=(tmp_path / name).write_bytes, args=(data,),
+                                      daemon=True)
+            pass_fds = ()
+        else:
+            r, w = os.pipe()
+            os.symlink(f"/dev/fd/{r}", tmp_path / name)
+            writer = threading.Thread(target=write_and_close, args=(w, data), daemon=True)
+            pass_fds = (r,)
+        writer.start()
+        try:
+            return cli_process([*argv[:2], name, *argv[2:]], tmp_path, pass_fds=pass_fds)
+        finally:
+            if transport == "pipe":
+                os.close(r)
+            elif writer.is_alive():  # the CLI never opened the FIFO: let the writer go
+                os.close(os.open(tmp_path / name, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
+    @pytest.mark.parametrize("transport", ["pipe", "fifo"])
+    @pytest.mark.parametrize("kind", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["compute", "duality"])
+    def test_digest_is_of_the_bytes_written(self, tmp_path, transport, kind, command):
+        data = self.CSV if kind == "csv" else self.JSON
+        (tmp_path / "step.json").write_text(
+            json.dumps({"type": "step", "lambda_min": 0.1, "lambda_max": 0.3, "threshold": 0.0})
+        )
+        rest = (["--measure", "lambda-var", "--profile", "step.json"] if command == "compute"
+                else ["--profile", "step.json", "--functions", "20", "--delta", "0.5"])
+        proc = self.run_on(tmp_path, f"data.{kind}", data, transport, [command, "--data", *rest])
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["inputs"]["data_digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
+        (tmp_path / f"plain.{kind}").write_bytes(data)
+        plain = cli_process([command, "--data", f"plain.{kind}", *rest], tmp_path)
+        report["inputs"]["data"] = f"plain.{kind}"
+        assert report == json.loads(plain.stdout)
+
+    @pytest.mark.parametrize("kind", ["csv", "json"])
+    def test_a_bad_pipe_names_its_line(self, tmp_path, kind):
+        data = b"value\n1\nnope\n" if kind == "csv" else b'{"type": "dirac"\r\n, }'
+        proc = self.run_on(tmp_path, f"data.{kind}", data, "fifo",
+                           ["compute", "--data", "--measure", "worst-case"])
+        (tmp_path / f"plain.{kind}").write_bytes(data)
+        plain = cli_process(["compute", "--data", f"plain.{kind}", "--measure", "worst-case"],
+                            tmp_path)
+        assert proc.returncode == plain.returncode == 2
+        assert proc.stderr == plain.stderr.replace(b"plain", b"data")
 
 
 @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, 5_000_001])

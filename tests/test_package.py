@@ -6,9 +6,9 @@ the tests here pin that table's names, resolve each through ``from lambdavar
 import``, and check in fresh interpreters that ``compute``, ``duality`` and
 ``plot`` never load ``oracles`` or ``checks``, that no command loads
 ``dataclasses``, and that only the suites that use them load ``oracles``,
-only the commands that digest a file load ``hashlib``, and only the commands
-that integrate against a test function load ``dual``.  The demos run end to
-end.
+only the commands that digest a file load ``hashlib``, only the commands
+that integrate against a test function load ``dual``, and a small CSV loads
+no ``array``.  The demos run end to end.
 """
 
 import ast
@@ -237,6 +237,7 @@ def test_each_command_loads_only_what_it_runs(command, tmp_path):
     assert status == 0
     assert "lambdavar.cli" in added
     assert not {"dataclasses", "inspect"} & set(added)
+    assert "array" not in added  # the CSV reader loads it only when it forks
     assert ("lambdavar.oracles" in added) == (command in ORACLE_SUITES)
     assert ("lambdavar.dual" in added) == (command in DUAL_COMMANDS)
     if command.startswith("check-"):
