@@ -722,18 +722,23 @@ class TestStreamingCsv:
         path.write_bytes((end.join(lines) + (end if last else "")).encode("utf-8"))
         assert csv_outcome(read_csv_samples, path) == csv_outcome(read_csv_split, path)
 
-    @pytest.mark.parametrize("split", [False, True])
-    @pytest.mark.parametrize("data", [b"value\n1\n-2.5\n", b" VALUE \r\n1\r\n-2.5", b"1\n-2.5\n"])
-    def test_clean_files_never_reach_the_line_loop(self, tmp_path, monkeypatch, data, split):
+    CLEAN = [b"value\n1\n-2.5\n", b" VALUE \r\n1\r\n-2.5", b"1\n-2.5\n"]
+
+    @pytest.mark.parametrize("data", CLEAN)
+    def test_clean_files_never_reach_the_line_loop(self, tmp_path, monkeypatch, data):
         def refuse(path, lines):
             raise AssertionError("the line-by-line parse ran")
 
         monkeypatch.setattr(cli, "_parse_lines", refuse)
-        forks = split_into_ranges(monkeypatch) if split else []
         path = tmp_path / "data.csv"
         path.write_bytes(data)
         assert read_csv_samples(str(path)) == [1.0, -2.5]
-        assert len(forks) == split
+
+    @pytest.mark.parametrize("data", CLEAN)
+    def test_clean_split_files_never_reach_the_line_loop(self, tmp_path, monkeypatch, data):
+        forks = split_into_ranges(monkeypatch)
+        self.test_clean_files_never_reach_the_line_loop(tmp_path, monkeypatch, data)
+        assert len(forks) == 1
         assert_no_child_left()
 
     def test_a_pipe_falls_back_without_rewinding(self, tmp_path):
