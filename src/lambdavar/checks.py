@@ -7,6 +7,11 @@ hold bit-for-bit on that class; everything else carries an explicit
 tolerance.  The two suites that compare with the reference routes import
 ``oracles`` when they run, and only the test functions import ``dual``, so
 the other suites load neither.
+
+A trial suite draws every trial's inputs here, in order, from one
+random.Random(seed); judges the trials in one contiguous chunk per usable
+CPU, the later chunks in forked workers; and folds the verdicts in trial
+order.  So a report does not depend on how many CPUs judged it.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import math
 import random
 
 from . import curves, profiles
+from ._fork import chunk_count, map_chunks
 from .curves import Cdf, _Record, from_samples, mixture, truncate_left, uniform
 from .exceptions import BracketError, DualRangeError
 from .measures import lambda_var, value_at_risk, worst_case
@@ -123,16 +129,31 @@ class SuiteResult(_Record):
                           max_residual=max_residual, details={} if details is None else details)
 
 
+def _judged(judge, cases) -> list:
+    """[judge(*case) for case in cases], one contiguous chunk per usable CPU.
+
+    The chunks after the first run in forked workers.  If a worker fails,
+    every case is judged here, so an error is the one a serial run raises.
+    """
+    n = min(chunk_count(), len(cases))
+    chunks = [cases[len(cases) * k // n:len(cases) * (k + 1) // n] for k in range(n)]
+    parts = map_chunks(lambda chunk: [judge(*case) for case in chunk], chunks)
+    if parts is None:
+        return [judge(*case) for case in cases]
+    return [verdict for part in parts for verdict in part]
+
+
 def suite_mon(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
     """Dominated pairs never get a smaller risk."""
     rng = random.Random(seed)
+    cases = [(*random_dominated_pair(rng), random_profile(rng)) for _ in range(trials)]
+
+    def judge(p, q, prof):
+        return lambda_var(p, prof).value, lambda_var(q, prof).value
+
     violations = 0
     worst = 0.0
-    for _ in range(trials):
-        p, q = random_dominated_pair(rng)
-        prof = random_profile(rng)
-        a = lambda_var(p, prof).value
-        b = lambda_var(q, prof).value
+    for a, b in _judged(judge, cases):
         if b < a:
             violations += 1
             worst = max(worst, a - b)
@@ -142,15 +163,19 @@ def suite_mon(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
 def suite_qco(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
     """Mixtures are never riskier than the worse component."""
     rng = random.Random(seed)
+    cases = [
+        (random_empirical(rng, pow2=True), random_empirical(rng, pow2=True),
+         rng.randint(0, GRAIN) / GRAIN, random_profile(rng))
+        for _ in range(trials)
+    ]
+
+    def judge(p, q, lam, prof):
+        m = lambda_var(mixture(p, q, lam), prof).value
+        return m, max(lambda_var(p, prof).value, lambda_var(q, prof).value)
+
     violations = 0
     worst = 0.0
-    for _ in range(trials):
-        p = random_empirical(rng, pow2=True)
-        q = random_empirical(rng, pow2=True)
-        lam = rng.randint(0, GRAIN) / GRAIN
-        prof = random_profile(rng)
-        m = lambda_var(mixture(p, q, lam), prof).value
-        cap = max(lambda_var(p, prof).value, lambda_var(q, prof).value)
+    for m, cap in _judged(judge, cases):
         if m > cap:
             violations += 1
             worst = max(worst, m - cap)
@@ -162,8 +187,7 @@ def suite_translation(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
     from . import oracles
 
     rng = random.Random(seed)
-    violations = 0
-    worst = 0.0
+    cases = []
     for _ in range(trials):
         p = random_empirical(rng)
         kind = rng.randrange(3)
@@ -173,8 +197,10 @@ def suite_translation(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
             prof = random_step_stack(rng)
         else:
             prof = random_step_stack(rng, curves.NONINCREASING)
-        alpha = dy(rng, -4.0, 4.0)
-        lhs, rhs = oracles.translation_pair(p, prof, alpha)
+        cases.append((p, prof, dy(rng, -4.0, 4.0)))
+    violations = 0
+    worst = 0.0
+    for lhs, rhs in _judged(oracles.translation_pair, cases):
         if lhs != rhs:
             violations += 1
             worst = max(worst, abs(lhs - rhs))
@@ -184,15 +210,15 @@ def suite_translation(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
 def suite_reductions(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
     """Constant profiles reproduce Value at Risk and the worst case exactly."""
     rng = random.Random(seed)
+    cases = [(random_empirical(rng), rng.randint(1, 63) / GRAIN) for _ in range(trials)]
+
+    def judge(p, lam):
+        return (lambda_var(p, constant_profile(lam)).value, value_at_risk(p, lam),
+                lambda_var(p, constant_profile(0.0)).value, worst_case(p))
+
     violations = 0
     worst = 0.0
-    for _ in range(trials):
-        p = random_empirical(rng)
-        lam = rng.randint(1, 63) / GRAIN
-        a = lambda_var(p, constant_profile(lam)).value
-        b = value_at_risk(p, lam)
-        c = lambda_var(p, constant_profile(0.0)).value
-        d = worst_case(p)
+    for a, b, c, d in _judged(judge, cases):
         if a != b or c != d:
             violations += 1
             worst = max(worst, abs(a - b), abs(c - d))
@@ -202,8 +228,7 @@ def suite_reductions(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
 def suite_cfa(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
     """Left-truncation sequences decrease to P with risks rising to the limit."""
     rng = random.Random(seed)
-    violations = 0
-    worst = 0.0
+    cases = []
     for _ in range(trials):
         p = random_empirical(rng)
         if rng.random() < 0.5:
@@ -218,19 +243,24 @@ def suite_cfa(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
                     break
             if prof is None:
                 prof = constant_profile(rng.randint(0, 40) / GRAIN)
+        cases.append((p, prof))
+
+    def judge(p, prof):
+        """(the risks rise along the sequence, |last risk - risk of p|)"""
         base = lambda_var(p, prof).value
         a = p.support_lower
         prev = -math.inf
         ok = True
-        last = None
         for n in range(1, 51):
-            qn = truncate_left(p.payload, a + 0.02 / n)
-            val = lambda_var(qn, prof).value
+            val = lambda_var(truncate_left(p.payload, a + 0.02 / n), prof).value
             if val < prev:
                 ok = False
             prev = val
-            last = val
-        residual = abs(last - base)
+        return ok, abs(prev - base)
+
+    violations = 0
+    worst = 0.0
+    for ok, residual in _judged(judge, cases):
         worst = max(worst, residual)
         if not ok or residual >= 1e-3:
             violations += 1
@@ -277,9 +307,7 @@ def suite_duality_sandwich(trials: int, seed: int, tol: float = 1e-9) -> SuiteRe
     from . import dual, oracles
 
     rng = random.Random(seed)
-    violations = 0
-    worst = 0.0
-    informative = 0
+    cases = []
     for _ in range(trials):
         p = random_empirical(rng, max_atoms=10)
         kind = rng.randrange(3)
@@ -289,20 +317,17 @@ def suite_duality_sandwich(trials: int, seed: int, tol: float = 1e-9) -> SuiteRe
             prof = random_step_stack(rng, jumps=2)
         else:
             prof = random_ramp_profile(rng)
-        f = random_test_function(rng)
+        cases.append((p, prof, random_test_function(rng), dy(rng, -4.0, 4.0)))
+
+    def judge(p, prof, f, m):
+        """(risk of p, dual bound or None, gamma in closed form, gamma by brute force)"""
         phi = lambda_var(p, prof).value
         t = dual.stieltjes(f, p.payload)
         gamma = dual.profile_gamma(prof)
         try:
-            bound = dual.risk_lower_bound_from_gamma(t, f, lambda m: gamma(m, f), tol=tol)
+            bound = dual.risk_lower_bound_from_gamma(t, f, lambda v: gamma(v, f), tol=tol)
         except (BracketError, DualRangeError):
             bound = None
-        if bound is not None and not math.isinf(bound):
-            informative += 1
-            if bound > phi:
-                violations += 1
-                worst = max(worst, bound - phi)
-        m = dy(rng, -4.0, 4.0)
         closed = dual.gamma_increasing(m, f, prof)
         member = profiles.family_member(prof, -m)
         brute = oracles.gamma_bruteforce(
@@ -311,6 +336,17 @@ def suite_duality_sandwich(trials: int, seed: int, tol: float = 1e-9) -> SuiteRe
             lambda q: lambda_var(q, prof).value,
             oracles.truncation_candidates(member, range(1, 51)),
         )
+        return phi, bound, closed, brute
+
+    violations = 0
+    worst = 0.0
+    informative = 0
+    for phi, bound, closed, brute in _judged(judge, cases):
+        if bound is not None and not math.isinf(bound):
+            informative += 1
+            if bound > phi:
+                violations += 1
+                worst = max(worst, bound - phi)
         if brute > closed + 1e-12:
             violations += 1
             worst = max(worst, brute - closed)

@@ -21,6 +21,7 @@ import os
 import stat
 import sys
 
+from ._fork import chunk_count, map_chunks
 from .curves import Cdf, dirac, from_samples, mixture, piecewise_cdf, uniform
 from .exceptions import BracketError, DualRangeError, InfeasibleProfileError
 from .measures import (
@@ -68,7 +69,6 @@ REPORT_SCHEMA = {
 # Each range holds at least _RANGE_BYTES, so a file of a few 10^4 lines stays
 # in one range and is parsed without a fork.
 _RANGE_BYTES = 2 << 20
-_MAX_RANGES = 8
 _BLOCK_BYTES = 1 << 20
 
 
@@ -77,14 +77,14 @@ def read_csv_samples(path: str):
 
     A regular file is cut at newlines into one byte range per usable CPU, at
     most 8 and each at least _RANGE_BYTES.  The first range is parsed here
-    and each later one in a forked worker, which sends its floats back as
-    raw doubles, so every float is the one float() gives.  A small file, a
-    single CPU, a live second thread or a platform without fork means one
-    range, parsed here.  If float() refuses a piece in any range (a blank
-    line, a byte that is not ASCII, a separator that str.strip() removes and
-    float() keeps), or a worker fails, the whole file goes to the
-    line-by-line parse, which decides and names the offending line.  A pipe
-    or FIFO goes there straight, and so does any file where os has no pread.
+    and each later one in a worker forked by _fork.map_chunks, which sends
+    its floats back bit for bit.  A small file, a single CPU, a live second
+    thread or a platform without fork means one range, parsed here.  If
+    float() refuses a piece in any range (a blank line, a byte that is not
+    ASCII, a separator that str.strip() removes and float() keeps), or a
+    worker fails, the whole file goes to the line-by-line parse, which
+    decides and names the offending line.  A pipe or FIFO goes there
+    straight, and so does any file where os has no pread.
     """
     with open(path, "rb") as fh:
         if hasattr(os, "pread") and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
@@ -97,27 +97,24 @@ def read_csv_samples(path: str):
 def _read_ranges(fd: int):
     """The samples of a regular file by byte range, or None for the line loop."""
     size = os.fstat(fd).st_size
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
     head, newline, _ = os.pread(fd, 256, 0).partition(b"\n")
     # A lone \r ends a line in text mode: after one, the word is on line 2.
     is_header = newline and head.rstrip().lstrip(b" \t\v\f").lower() == b"value"
     skip = len(head) + 1 if is_header else 0
-    n = min(_MAX_RANGES, cpus, (size - skip) // _RANGE_BYTES)
+    n = min(chunk_count(), (size - skip) // _RANGE_BYTES)
     try:
         cuts = (_line_start(fd, skip + (size - skip) * k // n) for k in range(1, n))
         bounds = [skip, *cuts, size]
         ranges = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-        if len(ranges) > 1 and hasattr(os, "fork"):
-            import threading  # a fork copies only the calling thread
-
-            if threading.active_count() == 1:
-                return _parse_forked(fd, ranges)
-        return _parse_range(fd, skip, size)
+        parts = map_chunks(lambda span: _parse_range(fd, *span), ranges)
     except (ValueError, OSError):
         return None
+    if not parts:
+        return None
+    samples = parts[0]
+    for part in parts[1:]:
+        samples.extend(part)
+    return samples
 
 
 def _line_start(fd: int, pos: int) -> int:
@@ -155,63 +152,6 @@ def _parse_range(fd: int, start: int, end: int) -> list:
             pos = end
         samples.extend(map(float, pieces))
     return samples
-
-
-def _parse_forked(fd: int, ranges) -> list | None:
-    """ranges[0] parsed here and each later range in a forked worker, in order.
-
-    None if a worker fails.  Every worker is reaped before this returns, and
-    killed first if the parse here raised.
-    """
-    import signal
-    from array import array
-
-    pids, pipes = [], []
-    try:
-        for start, end in ranges[1:]:
-            r, w = os.pipe()
-            pipes.append(r)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(fd, start, end, w, pipes)
-            finally:
-                os.close(w)
-            pids.append(pid)
-        samples = _parse_range(fd, *ranges[0])
-        for r in pipes:
-            part = array("d")
-            with open(r, "rb", closefd=False) as pipe:
-                part.frombytes(pipe.read())
-            samples.extend(part)
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for r in pipes:
-            os.close(r)
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    return None if any(statuses) else samples
-
-
-def _work(fd: int, start: int, end: int, w: int, pipes) -> None:
-    """A forked worker: parse one range, write its doubles to w, and leave.
-
-    A worker whose caller has died gets BrokenPipeError at the write.
-    """
-    from array import array
-
-    status = 1
-    try:
-        for r in pipes:
-            os.close(r)
-        doubles = array("d", _parse_range(fd, start, end))
-        with open(w, "wb") as pipe:
-            pipe.write(doubles)
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def _text(data: bytes) -> str:
@@ -597,6 +537,8 @@ def _env_tol() -> float:
         raise ValueError(f"LVAR_TOL is not a number: {raw!r}") from None
     if not math.isfinite(tol):
         raise ValueError(f"LVAR_TOL is not a finite number: {raw!r}")
+    if tol < 0:
+        raise ValueError(f"LVAR_TOL is not a nonnegative number: {raw!r}")
     return tol
 
 
@@ -611,6 +553,14 @@ def _finite(raw: str) -> float:
     return value
 
 
+def _tolerance(raw: str) -> float:
+    """argparse type of --tol: a finite number, at least 0."""
+    tol = _finite(raw)
+    if tol < 0:
+        raise argparse.ArgumentTypeError(f"not a nonnegative number: {raw!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     tol_default = _env_tol()
     parser = argparse.ArgumentParser(
@@ -623,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--data", required=True, help="CSV of outcomes or distribution JSON")
         sp.add_argument("--profile", help="profile JSON file")
         sp.add_argument("--out", help="write the report here instead of stdout")
-        sp.add_argument("--tol", type=_finite, default=tol_default)
+        sp.add_argument("--tol", type=_tolerance, default=tol_default)
 
     sp = sub.add_parser("compute", help="evaluate one risk measure")
     common(sp)
@@ -646,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="write the report here instead of stdout")
-    sp.add_argument("--tol", type=_finite, default=tol_default)
+    sp.add_argument("--tol", type=_tolerance, default=tol_default)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("plot", help="SVG of the CDF, the profile and the violation point")

@@ -562,9 +562,50 @@ class TestNonFiniteFlags:
     def test_finite_extremes_pass(self, capsys, losses_csv):
         report = run_report(
             capsys, "compute", "--data", losses_csv, "--measure", "worst-case",
-            "--lambda", "1e308", "--tol=-5e-324",
+            "--lambda", "1e308", "--tol=5e-324",
         )
         assert report["inputs"]["lambda"] == 1e308
+
+
+class TestNegativeTol:
+    """A tolerance is at least 0: a negative --tol or LVAR_TOL exits 2 naming it."""
+
+    @pytest.mark.parametrize("raw", ["-1", "-5e-324", "-1e-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--suite", "duality-sandwich", "--trials", "1"],
+            ["compute", "--measure", "worst-case"],
+            ["duality"],
+        ],
+    )
+    def test_flag_exits_2_naming_the_value(self, capsys, losses_csv, argv, raw):
+        if argv[0] != "check":
+            argv = [argv[0], "--data", losses_csv, *argv[1:]]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--tol={raw}"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"argument --tol: not a nonnegative number: {raw!r}" in captured.err
+
+    def test_env_exits_2_naming_the_value(self, capsys, monkeypatch):
+        monkeypatch.setenv("LVAR_TOL", "-1")
+        code, out, err = run_cli(capsys, "check", "--suite", "duality-sandwich", "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: LVAR_TOL is not a nonnegative number: '-1'\n"
+
+    @pytest.mark.parametrize("raw", ["0", "-0.0"])
+    def test_zero_passes(self, capsys, raw):
+        report = run_report(capsys, "check", "--suite", "duality-sandwich", "--trials", "2",
+                            f"--tol={raw}")
+        assert report["tol"] == 0.0
+
+    def test_an_exponent_after_a_space_keeps_the_argparse_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--suite", "mon", "--tol", "-1e-3"])
+        assert exc.value.code == 2
+        assert "argument --tol: expected one argument" in capsys.readouterr().err
 
 
 class TestFlagsBeforeData:

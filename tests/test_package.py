@@ -8,7 +8,8 @@ import``, and check in fresh interpreters that ``compute``, ``duality`` and
 ``dataclasses``, and that only the suites that use them load ``oracles``,
 only the commands that digest a file load ``hashlib``, only the commands
 that integrate against a test function load ``dual``, and a small CSV loads
-no ``array``.  The demos run end to end.
+no ``array``.  ``os.fork`` and ``os._exit`` are called in one module only.
+The demos run end to end.
 """
 
 import ast
@@ -281,6 +282,18 @@ def test_dual_loads_only_inside_the_functions_that_use_it(module):
     names = list(_module_level_imports(tree))
     assert names, "the parse found no imports at all"
     assert [n for n in names if "dual" in n.split(".")] == []
+
+
+def test_one_module_forks():
+    """os.fork and os._exit are called in _fork alone, so no second fork path creeps in."""
+    callers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "os"
+                    and node.func.attr in ("fork", "_exit")):
+                callers.setdefault(node.func.attr, set()).add(path.stem)
+    assert callers == {"fork": {"_fork"}, "_exit": {"_fork"}}
 
 
 @pytest.mark.parametrize("demo", ["risk_profiles.py", "dual_bounds.py"])
