@@ -223,7 +223,11 @@ class TestFailedWorkers:
         reset()
         forks = use_cpus(monkeypatch, 2)
         assert run_main(self.ARGV) == expected
-        assert len(forks) == 1
+        reset()
+        with pytest.raises(exc, match="^trial 27$") as raised:
+            checks.run_suite("mon", 40, 3)
+        assert type(raised.value) is exc
+        assert len(forks) == 2
         assert_no_child_left()
 
     def test_a_raise_here_kills_a_slow_worker(self, monkeypatch):
