@@ -22,7 +22,7 @@ import stat
 import sys
 
 from ._fork import chunk_count, map_chunks
-from .curves import Cdf, dirac, from_samples, mixture, piecewise_cdf, uniform
+from .curves import Cdf, _from_floats, dirac, from_samples, mixture, piecewise_cdf, uniform
 from .exceptions import BracketError, DualRangeError, InfeasibleProfileError
 from .measures import (
     certainty_equivalent,
@@ -79,34 +79,46 @@ def read_csv_samples(path: str):
     most 8 and each at least _RANGE_BYTES.  The first range is parsed here
     and each later one in a worker forked by _fork.map_chunks, which sends
     its floats back bit for bit.  A small file, a single CPU, a live second
-    thread or a platform without fork means one range, parsed here.  If
-    float() refuses a piece in any range (a blank line, a byte that is not
-    ASCII, a separator that str.strip() removes and float() keeps), or a
-    worker fails, the whole file goes to the line-by-line parse, which
-    decides and names the offending line.  A pipe or FIFO goes there
-    straight, and so does any file where os has no pread.
+    thread or a platform without fork means one range, parsed here.  A block
+    that float() refuses is parsed again without its empty lines.  If float()
+    still refuses a piece in any range (a line of spaces or a lone carriage
+    return, a byte that is not ASCII, a separator that str.strip() removes
+    and float() keeps), or a worker fails, the whole file goes to the
+    line-by-line parse, which decides and names the offending line.  A pipe
+    or FIFO goes there straight, and so does any file where os has no pread.
     """
     with open(path, "rb") as fh:
-        if hasattr(os, "pread") and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            samples = _read_ranges(fh.fileno())
-            if samples:
-                return samples
-        return _parse_lines(path, _text(fh.read()))
+        return _read_regular(fh.fileno()) or _parse_lines(path, _text(fh.read()))
 
 
-def _read_ranges(fd: int):
-    """The samples of a regular file by byte range, or None for the line loop."""
-    size = os.fstat(fd).st_size
+def _read_regular(fd: int, digest=None):
+    """The samples of a regular file by byte range, or None for the line loop.
+
+    With a digest, the caller feeds it the file's bytes up to the size that
+    the ranges were cut from, after its own range and while the workers
+    parse theirs.
+    """
+    st = os.fstat(fd)
+    if not (hasattr(os, "pread") and stat.S_ISREG(st.st_mode)):
+        return None
+    size = st.st_size
     head, newline, _ = os.pread(fd, 256, 0).partition(b"\n")
     # A lone \r ends a line in text mode: after one, the word is on line 2.
     is_header = newline and head.rstrip().lstrip(b" \t\v\f").lower() == b"value"
     skip = len(head) + 1 if is_header else 0
     n = min(chunk_count(), (size - skip) // _RANGE_BYTES)
+
+    def parse(span):
+        samples = _parse_range(fd, *span)
+        if digest is not None and span is ranges[0]:  # here, not in a worker
+            _hash_upto(fd, size, digest)
+        return samples
+
     try:
         cuts = (_line_start(fd, skip + (size - skip) * k // n) for k in range(1, n))
         bounds = [skip, *cuts, size]
         ranges = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-        parts = map_chunks(lambda span: _parse_range(fd, *span), ranges)
+        parts = map_chunks(parse, ranges)
     except (ValueError, OSError):
         return None
     if not parts:
@@ -115,6 +127,16 @@ def _read_ranges(fd: int):
     for part in parts[1:]:
         samples.extend(part)
     return samples
+
+
+def _hash_upto(fd: int, size: int, digest) -> None:
+    """Feed digest the first size bytes of the file, a block at a time."""
+    for pos in range(0, size, _BLOCK_BYTES):
+        want = min(_BLOCK_BYTES, size - pos)
+        block = os.pread(fd, want, pos)
+        if len(block) < want:
+            raise ValueError("the file shrank")
+        digest.update(block)
 
 
 def _line_start(fd: int, pos: int) -> int:
@@ -131,8 +153,8 @@ def _line_start(fd: int, pos: int) -> int:
 def _parse_range(fd: int, start: int, end: int) -> list:
     """The floats of the lines in bytes [start, end), read a block at a time.
 
-    Raises ValueError where float() refuses a piece, where a line is longer
-    than a block and where the file is shorter than it was.
+    Raises ValueError where float() refuses a piece that is not empty, where
+    a line is longer than a block and where the file is shorter than it was.
     """
     samples = []
     pos = start
@@ -150,7 +172,12 @@ def _parse_range(fd: int, start: int, end: int) -> list:
             if not pieces[-1]:  # the empty piece after the final newline
                 pieces.pop()
             pos = end
-        samples.extend(map(float, pieces))
+        done = len(samples)
+        try:
+            samples.extend(map(float, pieces))
+        except ValueError:  # skip empty lines, as the line loop does
+            del samples[done:]
+            samples.extend(map(float, filter(None, pieces)))
     return samples
 
 
@@ -197,12 +224,6 @@ def parse_distribution(obj) -> Cdf:
     raise ValueError(f"unknown distribution type {kind!r}")
 
 
-def _load_json(path: str, parse):
-    """(object, parse(object)) for a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_json(path, fh.read(), parse)
-
-
 def _parse_json(path: str, text: str, parse):
     """(object, parse(object)) for the JSON text read from path.
 
@@ -219,29 +240,30 @@ def _parse_json(path: str, text: str, parse):
         raise ValueError(f"{path}: number out of float range") from None
 
 
-def load_distribution(path: str) -> Cdf:
-    if path.endswith(".json"):
-        return _load_json(path, parse_distribution)[1]
-    return from_samples(read_csv_samples(path))
-
-
 def _load_data(path: str):
-    """The distribution in --data and the digest of the bytes it was parsed from.
+    """The distribution in --data and the SHA-256 of the bytes it was parsed from.
 
-    A pipe or FIFO is read once, since a second open would find it drained
-    or wait for a writer that never comes.
+    Each byte is read once.  A regular CSV file is hashed by the byte-range
+    reader, up to the size its ranges were cut from; JSON, the line loop, a
+    pipe and a FIFO are hashed from the bytes read for them.  A pipe or FIFO
+    could not be read twice anyway: a second open would find it drained or
+    wait for a writer that never comes.  The parsed samples become the
+    curve's own, uncopied.
     """
-    if stat.S_ISREG(os.stat(path).st_mode):
-        return load_distribution(path), file_digest(path)
-    import hashlib
+    import hashlib  # check reads no data
 
+    is_json = path.endswith(".json")
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
+        samples = None if is_json else _read_regular(fh.fileno(), digest)
+        if samples:
+            return _from_floats(samples), "sha256:" + digest.hexdigest()
         data = fh.read()
     text = _text(data)
-    if path.endswith(".json"):
+    if is_json:
         p = _parse_json(path, text, parse_distribution)[1]
     else:
-        p = from_samples(_parse_lines(path, text))
+        p = _from_floats(_parse_lines(path, text))
     return p, "sha256:" + hashlib.sha256(data).hexdigest()
 
 
@@ -263,7 +285,8 @@ def parse_profile(obj) -> LossProfile:
 
 
 def load_profile(path: str):
-    obj, profile = _load_json(path, parse_profile)
+    with open(path, "r", encoding="utf-8") as fh:
+        obj, profile = _parse_json(path, fh.read(), parse_profile)
     return profile, obj
 
 
@@ -502,7 +525,7 @@ def cmd_plot(args) -> dict:
         raise ValueError("plot requires --profile")
     if not args.out:
         raise ValueError("plot requires --out")
-    p = load_distribution(args.data)
+    p, _ = _load_data(args.data)
     profile, _ = load_profile(args.profile)
     report = lambda_var(p, profile)
     if report.violation_point is None:

@@ -565,8 +565,18 @@ def from_samples(xs) -> Cdf:
     overflows, is checked sample by sample.  Only the guard's truth is used,
     so how ``sum`` rounds cannot change a result.  The prefix comes from
     one comprehension, which keeps the samples in input order.
+
+    The samples are copied first, so the caller's list is never touched.
     """
-    xs = list(map(float, xs))
+    return _from_floats(list(map(float, xs)))
+
+
+def _from_floats(xs: list) -> Cdf:
+    """``from_samples`` on a fresh list of floats, which the curve owns.
+
+    The list is not copied: it is sorted in place, now or when a lazy curve
+    completes, so the caller must not use it again.
+    """
     if not xs:
         raise ValueError("no data")
     if not math.isfinite(sum(xs)) and not all(map(math.isfinite, xs)):

@@ -626,7 +626,7 @@ class TestFlagsBeforeData:
         def refuse(path):
             raise AssertionError(f"read {path} before checking the flags")
 
-        monkeypatch.setattr(cli, "load_distribution", refuse)
+        monkeypatch.setattr(cli, "_load_data", refuse)
         code, out, err = run_cli(capsys, *argv, "--data", "missing.csv")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -781,6 +781,47 @@ class TestStreamingCsv:
         self.test_clean_files_never_reach_the_line_loop(tmp_path, monkeypatch, data)
         assert len(forks) == 1
         assert_no_child_left()
+
+    BLANK = [b"value\n1\n-2.5\n\n", b"value\n1\n\n-2.5\n", b"value\n\n1\n-2.5\n",
+             b"\n1\n\n\n-2.5\n\n", b"value\r\n1\r\n-2.5\n\n"]
+
+    @pytest.mark.parametrize("block", [1 << 20, 8])
+    @pytest.mark.parametrize("data", BLANK)
+    def test_empty_lines_never_reach_the_line_loop(self, tmp_path, monkeypatch, data, block):
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
+        self.test_clean_files_never_reach_the_line_loop(tmp_path, monkeypatch, data)
+
+    @pytest.mark.parametrize("data", BLANK)
+    def test_empty_lines_in_split_files_never_reach_the_line_loop(self, tmp_path, monkeypatch,
+                                                                   data):
+        forks = split_into_ranges(monkeypatch)
+        self.test_clean_files_never_reach_the_line_loop(tmp_path, monkeypatch, data)
+        assert forks
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"value\n1\n \n-2.5\n",  # a line of spaces
+            b"value\r\n1\r\n\r\n-2.5\r\n",  # an empty line ended by \r\n
+            b"value\n1\n\nnope\n-2.5\n",  # a bad line after an empty one
+            b"\nvalue\n1\n",  # the header after an empty line
+            b"\n\n\n",  # only empty lines
+        ],
+    )
+    def test_other_refused_blocks_still_reach_the_line_loop(self, tmp_path, monkeypatch, data):
+        parse_lines = cli._parse_lines
+        ran = []
+
+        def counted(path, text):
+            ran.append(path)
+            return parse_lines(path, text)
+
+        monkeypatch.setattr(cli, "_parse_lines", counted)
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        assert csv_outcome(read_csv_samples, path) == csv_outcome(read_csv_split, path)
+        assert ran == [str(path)]
 
     def test_a_pipe_falls_back_without_rewinding(self, tmp_path):
         path = tmp_path / "pipe"
@@ -1071,6 +1112,93 @@ class TestDataNotARegularFile:
                             tmp_path)
         assert proc.returncode == plain.returncode == 2
         assert proc.stderr == plain.stderr.replace(b"plain", b"data")
+
+
+@pytest.fixture(scope="module")
+def csv_of_two_ranges(tmp_path_factory):
+    """A CSV of at least 4 MiB: two ranges of at least _RANGE_BYTES each."""
+    rng = random.Random(12)
+    path = tmp_path_factory.mktemp("big") / "data.csv"
+    path.write_text("value\n" + "".join(f"{rng.gauss(0.0, 1.0)!r}\n" for _ in range(225_000)))
+    assert path.stat().st_size >= max(4 << 20, 2 * cli._RANGE_BYTES)
+    return path
+
+
+class TestDigestOnEveryRoute:
+    """compute and duality report the SHA-256 of the --data bytes on every
+    route that reads them, each byte read once."""
+
+    run_on = TestDataNotARegularFile.run_on
+    DATA = {
+        "single-range": b"value\n-10\n-5\r\n0\n\n5\n",
+        "line-loop": b"value\n-10\n \n-5\n0\n5\n",
+        "json": TestDataNotARegularFile.JSON,
+        "pipe": TestDataNotARegularFile.CSV,
+        "fifo": TestDataNotARegularFile.CSV,
+    }
+
+    @pytest.mark.parametrize(
+        "route", ["multi-range", "single-range", "line-loop", "json", "pipe", "fifo"]
+    )
+    @pytest.mark.parametrize("command", ["compute", "duality"])
+    def test_digest_is_of_the_file(self, tmp_path, monkeypatch, capsys, csv_of_two_ranges,
+                                   command, route):
+        (tmp_path / "step.json").write_text(
+            json.dumps({"type": "step", "lambda_min": 0.1, "lambda_max": 0.3, "threshold": 0.0})
+        )
+        rest = (["--measure", "lambda-var", "--profile", "step.json"] if command == "compute"
+                else ["--profile", "step.json", "--functions", "5", "--delta", "0.5"])
+        if route in ("pipe", "fifo"):
+            data = self.DATA[route]
+            proc = self.run_on(tmp_path, "data.csv", data, route, [command, "--data", *rest])
+            assert proc.returncode == 0, proc.stderr
+            digest = json.loads(proc.stdout)["inputs"]["data_digest"]
+        else:
+            path = csv_of_two_ranges if route == "multi-range" else tmp_path / (
+                "data.json" if route == "json" else "data.csv")
+            if route != "multi-range":
+                path.write_bytes(self.DATA[route])
+            data = path.read_bytes()
+            forks = split_into_ranges(monkeypatch, cpus=2)
+            monkeypatch.setattr(cli, "_RANGE_BYTES", 2 << 20)
+            ran = []
+            parse_lines = cli._parse_lines
+            monkeypatch.setattr(cli, "_parse_lines", lambda *a: ran.append(a) or parse_lines(*a))
+            monkeypatch.chdir(tmp_path)
+            code, out, err = run_cli(capsys, command, "--data", str(path), *rest)
+            assert (code, err) == (0, "")
+            digest = json.loads(out)["inputs"]["data_digest"]
+            assert len(forks) == (route == "multi-range")
+            assert len(ran) == (route == "line-loop")
+            assert_no_child_left()
+        assert digest == "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_digest_stops_at_the_size_the_ranges_were_cut_from(tmp_path, monkeypatch, cpus):
+    """Bytes appended while the ranges are parsed are neither parsed nor hashed."""
+    forks = split_into_ranges(monkeypatch, cpus)
+    values = [i / 7 for i in range(-20, 20)]
+    data = b"value\n" + b"".join(b"%r\n" % v for v in values)
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    caller = os.getpid()
+    parse_range = cli._parse_range
+    appended = []
+
+    def appending(fd, start, end):
+        if os.getpid() == caller and not appended:
+            with open(path, "ab") as fh:
+                appended.append(fh.write(b"99\n"))
+        return parse_range(fd, start, end)
+
+    monkeypatch.setattr(cli, "_parse_range", appending)
+    p, digest = cli._load_data(str(path))
+    assert appended and path.read_bytes() == data + b"99\n"
+    assert digest == "sha256:" + hashlib.sha256(data).hexdigest()
+    assert repr(p) == repr(from_samples(values))
+    assert len(forks) == cpus - 1
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, 5_000_001])

@@ -129,7 +129,7 @@ PROFILES = spoiled(
 )
 
 # What the CLI maps to exit 2 (3 for an infeasible profile, a ValueError);
-# _load_json turns OverflowError and RecursionError into ValueError.
+# _parse_json turns OverflowError and RecursionError into ValueError.
 PARSE_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
 
 

@@ -37,7 +37,7 @@ from lambdavar import (
     step_profile,
 )
 from lambdavar.cli import main
-from lambdavar.curves import _crossing_point, _LazyRC, _sample_columns
+from lambdavar.curves import _crossing_point, _from_floats, _LazyRC, _sample_columns
 
 # ---------- oracle ----------
 
@@ -367,6 +367,55 @@ class TestCases:
         monkeypatch.setattr(_LazyRC, "_complete", refuse_completion)
         p = from_samples([float(k) for k in range(3000, 0, -1)])
         assert p.support_lower == 1.0 and is_lazy(p)
+
+
+# ---------- who owns the samples ----------
+
+
+ANY_SIZE = st.one_of(st.integers(10, 1023), st.sampled_from(STRIDE_EDGES), st.integers(1024, 2500))
+
+
+def prefix_of(p):
+    return repr(vars(p.payload)["_prefix"]) if is_lazy(p) else None
+
+
+class TestOwnership:
+    """``from_samples`` copies the caller's list; ``_from_floats``, which the
+    CLI hands its freshly parsed list, builds the same curve from the list
+    itself."""
+
+    @given(sample_lists(ANY_SIZE))
+    def test_from_samples_leaves_the_callers_list_alone(self, xs):
+        before = repr(xs)  # repr tells -0.0 from 0.0
+        p = from_samples(xs)
+        assert repr(xs) == before
+        repr(p)  # completes a lazy curve, which sorts its samples
+        assert not is_lazy(p)
+        assert repr(xs) == before
+
+    @given(sample_lists(ANY_SIZE))
+    def test_the_owning_builder_builds_the_same_curve(self, xs):
+        public, owned = from_samples(xs), _from_floats(list(xs))
+        assert is_lazy(owned) == is_lazy(public)
+        assert prefix_of(owned) == prefix_of(public)  # before either completes
+        assert repr(owned) == repr(public)
+        assert not is_lazy(owned)
+
+    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 3000])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_sample_fails_alike(self, n, bad):
+        xs = [float(i) for i in range(n)]
+        xs[n // 2] = bad
+        with pytest.raises(ValueError) as public:
+            from_samples(xs)
+        with pytest.raises(ValueError) as owned:
+            _from_floats(list(xs))
+        assert str(public.value) == str(owned.value) == "samples must be finite"
+
+    def test_no_samples_fail_alike(self):
+        for build in (from_samples, _from_floats):
+            with pytest.raises(ValueError, match="^no data$"):
+                build([])
 
 
 # ---------- the speed-up cannot silently regress ----------

@@ -296,6 +296,19 @@ def test_one_module_forks():
     assert callers == {"fork": {"_fork"}, "_exit": {"_fork"}}
 
 
+def test_no_module_reads_the_data_again_to_hash_it():
+    """The commands hash the bytes that the reader reads; file_digest, a second
+    read of the whole file, stays for callers outside the package only."""
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Name) and node.id == "file_digest"
+                    or isinstance(node, ast.Attribute) and node.attr == "file_digest"):
+                users.add(path.stem)
+    assert users == set()
+    from lambdavar.cli import file_digest  # noqa: F401  kept for those callers
+
+
 @pytest.mark.parametrize("demo", ["risk_profiles.py", "dual_bounds.py"])
 def test_demo_runs(demo, tmp_path):
     proc = python(tmp_path, str(DEMOS / demo))
