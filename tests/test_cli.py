@@ -1160,7 +1160,7 @@ class TestDigestOnEveryRoute:
                 path.write_bytes(self.DATA[route])
             data = path.read_bytes()
             forks = split_into_ranges(monkeypatch, cpus=2)
-            monkeypatch.setattr(cli, "_RANGE_BYTES", 2 << 20)
+            monkeypatch.setattr(cli, "_RANGE_BYTES", 2 << 20)  # two CPUs, real range sizes
             ran = []
             parse_lines = cli._parse_lines
             monkeypatch.setattr(cli, "_parse_lines", lambda *a: ran.append(a) or parse_lines(*a))
