@@ -9,6 +9,7 @@ serial run.  The CSV reader's side of the primitive is tested in
 """
 
 import errno
+import hashlib
 import io
 import os
 import subprocess
@@ -19,7 +20,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from lambdavar import _fork, checks
+from lambdavar import _fork, checks, dual, oracles
 from lambdavar.cli import main
 from lambdavar.exceptions import BracketError
 from test_cli import SRC, assert_no_child_left
@@ -83,6 +84,10 @@ def test_one_cpu_and_all_cpus_print_the_same_reports(tmp_path):
     assert one_cpu.stderr == all_cpus.stderr == b""
     assert all_cpus.stdout.count(b'"report": "check"') == len(cases)
     assert all_cpus.stdout.count(b"\nexit 0\n") == len(cases)
+    # the 105 reports as printed before one fold served every trial suite
+    assert hashlib.sha256(all_cpus.stdout).hexdigest() == (
+        "cdf88363f39c05c335b86e59034943ab0c45c975baf7c66459f81b53fe7b8664"
+    )
 
 
 # run_suite(suite, 40, 3) before the suites judged their trials in chunks.
@@ -104,6 +109,52 @@ def test_the_draws_keep_their_order(monkeypatch, suite):
     use_cpus(monkeypatch, 2)
     r = checks.run_suite(suite, 40, 3)
     assert repr((r.violations, r.max_residual, r.details)) == repr(SEED_3_RESULTS[suite])
+
+
+def skew_the_suites(monkeypatch):
+    """Shift every risk that lambda_var reports, in the suites and in the
+    oracles they call, by 2 * ((64 * lower support end) mod 3 - 1), and lower
+    the closed-form gamma by (64 * m mod 3) / 4.
+
+    Each shift depends on its call's arguments alone, so however the trials
+    are chunked, each suite finds the same violations.
+    """
+
+    def shifted(lambda_var):
+        def shifted_lambda_var(p, prof):
+            r = lambda_var(p, prof)
+            shift = (p.support_lower * checks.GRAIN % 3 - 1) * 2
+            return type(r)(r.value + shift, r.violation_point, r.finiteness_case)
+
+        return shifted_lambda_var
+
+    gamma_increasing = dual.gamma_increasing
+    monkeypatch.setattr(checks, "lambda_var", shifted(checks.lambda_var))
+    monkeypatch.setattr(oracles, "lambda_var", shifted(oracles.lambda_var))
+    monkeypatch.setattr(dual, "gamma_increasing",
+                        lambda m, f, prof: gamma_increasing(m, f, prof) - m * checks.GRAIN % 3 / 4)
+
+
+# run_suite(suite, 41, 3) under skew_the_suites before one fold served every suite.
+SKEWED_SEED_3_RESULTS = {
+    "cfa": (41, 0.05119999999999436, {}),
+    "duality-sandwich": (31, 0.7170802275977621, {"informative": 29}),
+    "mon": (11, 3.109375, {}),
+    "qco": (4, 2.0, {}),
+    "reductions": (28, 2.0, {}),
+    "translation": (28, 4.0, {}),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("suite", sorted(set(SUITES) - {"cfb-counterexample"}))
+def test_violations_and_residuals_of_every_trial_suite(monkeypatch, suite, cpus):
+    skew_the_suites(monkeypatch)
+    forks = use_cpus(monkeypatch, cpus)
+    r = checks.run_suite(suite, 41, 3)
+    assert repr((r.violations, r.max_residual, r.details)) == repr(SKEWED_SEED_3_RESULTS[suite])
+    assert len(forks) == cpus - 1
+    assert_no_child_left()
 
 
 class TestRunSuite:
