@@ -26,7 +26,7 @@ _EXPORTS = {
         "truncate_left", "uniform",
     ),
     "dual": (
-        "Constant", "DualBoundReport", "ExpNeg", "TestFunction", "gamma_decreasing",
+        "DualBoundReport", "ExpNeg", "TestFunction", "gamma_decreasing",
         "gamma_increasing", "negated_cdf", "profile_gamma", "ramp_ladder",
         "representation_bound", "risk_lower_bound_from_gamma", "stieltjes",
     ),

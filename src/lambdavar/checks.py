@@ -12,6 +12,10 @@ A trial suite draws every trial's inputs here, in order, from one
 random.Random(seed); judges the trials in one contiguous chunk per usable
 CPU, the later chunks in forked workers; and folds the verdicts in trial
 order.  So a report does not depend on how many CPUs judged it.
+
+Only ``duality-sandwich`` reads ``tol``: it is the bisection tolerance of the
+dual bound.  The other suites take it and ignore it; their thresholds are
+fixed.
 """
 
 from __future__ import annotations
@@ -129,18 +133,24 @@ class SuiteResult(_Record):
                           max_residual=max_residual, details={} if details is None else details)
 
 
-def _judged(judge, cases) -> list:
-    """[judge(*case) for case in cases], one contiguous chunk per usable CPU.
+def _tally(name: str, trials: int, judge, cases, *counts: str) -> SuiteResult:
+    """The suite's result from judge(*case), a trial's verdict, for every case.
 
-    The chunks after the first run in forked workers.  If a worker fails,
-    every case is judged here, so an error is the one a serial run raises.
+    A verdict is (violations, residual, *one number per name in counts).  The
+    result sums the violations and each count, and takes the worst residual.
+    The cases are judged in one contiguous chunk per usable CPU, the later
+    chunks in forked workers.  If a worker fails, every case is judged here,
+    so an error is the one a serial run raises.
     """
     n = min(chunk_count(), len(cases))
     chunks = [cases[len(cases) * k // n:len(cases) * (k + 1) // n] for k in range(n)]
     parts = map_chunks(lambda chunk: [judge(*case) for case in chunk], chunks)
     if parts is None:
-        return [judge(*case) for case in cases]
-    return [verdict for part in parts for verdict in part]
+        parts = [[judge(*case) for case in cases]]
+    verdicts = [verdict for part in parts for verdict in part]
+    details = {count: sum(v[2 + k] for v in verdicts) for k, count in enumerate(counts)}
+    return SuiteResult(name, trials, sum(v[0] for v in verdicts),
+                       max([0.0, *(v[1] for v in verdicts)]), details)
 
 
 def suite_mon(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
@@ -149,15 +159,10 @@ def suite_mon(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
     cases = [(*random_dominated_pair(rng), random_profile(rng)) for _ in range(trials)]
 
     def judge(p, q, prof):
-        return lambda_var(p, prof).value, lambda_var(q, prof).value
+        a, b = lambda_var(p, prof).value, lambda_var(q, prof).value
+        return (1, a - b) if b < a else (0, 0.0)
 
-    violations = 0
-    worst = 0.0
-    for a, b in _judged(judge, cases):
-        if b < a:
-            violations += 1
-            worst = max(worst, a - b)
-    return SuiteResult("mon", trials, violations, worst)
+    return _tally("mon", trials, judge, cases)
 
 
 def suite_qco(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
@@ -171,15 +176,10 @@ def suite_qco(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
 
     def judge(p, q, lam, prof):
         m = lambda_var(mixture(p, q, lam), prof).value
-        return m, max(lambda_var(p, prof).value, lambda_var(q, prof).value)
+        cap = max(lambda_var(p, prof).value, lambda_var(q, prof).value)
+        return (1, m - cap) if m > cap else (0, 0.0)
 
-    violations = 0
-    worst = 0.0
-    for m, cap in _judged(judge, cases):
-        if m > cap:
-            violations += 1
-            worst = max(worst, m - cap)
-    return SuiteResult("qco", trials, violations, worst)
+    return _tally("qco", trials, judge, cases)
 
 
 def suite_translation(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
@@ -198,13 +198,12 @@ def suite_translation(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
         else:
             prof = random_step_stack(rng, curves.NONINCREASING)
         cases.append((p, prof, dy(rng, -4.0, 4.0)))
-    violations = 0
-    worst = 0.0
-    for lhs, rhs in _judged(oracles.translation_pair, cases):
-        if lhs != rhs:
-            violations += 1
-            worst = max(worst, abs(lhs - rhs))
-    return SuiteResult("translation", trials, violations, worst)
+
+    def judge(p, prof, alpha):
+        lhs, rhs = oracles.translation_pair(p, prof, alpha)
+        return (1, abs(lhs - rhs)) if lhs != rhs else (0, 0.0)
+
+    return _tally("translation", trials, judge, cases)
 
 
 def suite_reductions(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
@@ -213,16 +212,11 @@ def suite_reductions(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
     cases = [(random_empirical(rng), rng.randint(1, 63) / GRAIN) for _ in range(trials)]
 
     def judge(p, lam):
-        return (lambda_var(p, constant_profile(lam)).value, value_at_risk(p, lam),
-                lambda_var(p, constant_profile(0.0)).value, worst_case(p))
+        a, b = lambda_var(p, constant_profile(lam)).value, value_at_risk(p, lam)
+        c, d = lambda_var(p, constant_profile(0.0)).value, worst_case(p)
+        return (1, max(abs(a - b), abs(c - d))) if a != b or c != d else (0, 0.0)
 
-    violations = 0
-    worst = 0.0
-    for a, b, c, d in _judged(judge, cases):
-        if a != b or c != d:
-            violations += 1
-            worst = max(worst, abs(a - b), abs(c - d))
-    return SuiteResult("reductions", trials, violations, worst)
+    return _tally("reductions", trials, judge, cases)
 
 
 def suite_cfa(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
@@ -246,7 +240,8 @@ def suite_cfa(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
         cases.append((p, prof))
 
     def judge(p, prof):
-        """(the risks rise along the sequence, |last risk - risk of p|)"""
+        """A violation unless the risks rise along the sequence to within 1e-3
+        of the risk of p; the residual is the distance left."""
         base = lambda_var(p, prof).value
         a = p.support_lower
         prev = -math.inf
@@ -256,15 +251,10 @@ def suite_cfa(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
             if val < prev:
                 ok = False
             prev = val
-        return ok, abs(prev - base)
+        residual = abs(prev - base)
+        return (1, residual) if not ok or residual >= 1e-3 else (0, residual)
 
-    violations = 0
-    worst = 0.0
-    for ok, residual in _judged(judge, cases):
-        worst = max(worst, residual)
-        if not ok or residual >= 1e-3:
-            violations += 1
-    return SuiteResult("cfa", trials, violations, worst)
+    return _tally("cfa", trials, judge, cases)
 
 
 def suite_cfb_counterexample(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
@@ -320,7 +310,8 @@ def suite_duality_sandwich(trials: int, seed: int, tol: float = 1e-9) -> SuiteRe
         cases.append((p, prof, random_test_function(rng), dy(rng, -4.0, 4.0)))
 
     def judge(p, prof, f, m):
-        """(risk of p, dual bound or None, gamma in closed form, gamma by brute force)"""
+        """Weak duality for the bound, and the brute-force gamma below the
+        closed form; the verdict counts the bound as informative if finite."""
         phi = lambda_var(p, prof).value
         t = dual.stieltjes(f, p.payload)
         gamma = dual.profile_gamma(prof)
@@ -336,23 +327,15 @@ def suite_duality_sandwich(trials: int, seed: int, tol: float = 1e-9) -> SuiteRe
             lambda q: lambda_var(q, prof).value,
             oracles.truncation_candidates(member, range(1, 51)),
         )
-        return phi, bound, closed, brute
-
-    violations = 0
-    worst = 0.0
-    informative = 0
-    for phi, bound, closed, brute in _judged(judge, cases):
-        if bound is not None and not math.isinf(bound):
-            informative += 1
-            if bound > phi:
-                violations += 1
-                worst = max(worst, bound - phi)
+        informative = bound is not None and not math.isinf(bound)
+        violations, worst = 0, 0.0
+        if informative and bound > phi:
+            violations, worst = 1, bound - phi
         if brute > closed + 1e-12:
-            violations += 1
-            worst = max(worst, brute - closed)
-    return SuiteResult(
-        "duality-sandwich", trials, violations, worst, details={"informative": informative}
-    )
+            violations, worst = violations + 1, max(worst, brute - closed)
+        return violations, worst, int(informative)
+
+    return _tally("duality-sandwich", trials, judge, cases, "informative")
 
 
 _SUITES = {

@@ -311,16 +311,13 @@ def encode_value(v: float):
 # ---------- commands ----------
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2)
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise _Unwritable(str(exc))
-    else:
-        sys.stdout.write(text + "\n")
+def _write(path: str, text: str) -> None:
+    """Write text to path, as --out asks: an OSError becomes exit code 5."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _Unwritable(str(exc))
 
 
 class _Unwritable(Exception):
@@ -530,12 +527,7 @@ def cmd_plot(args) -> dict:
     report = lambda_var(p, profile)
     if report.violation_point is None:
         raise BracketError("no finite violation point to mark")
-    svg = render_plot(p, profile, report.violation_point)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        raise _Unwritable(str(exc))
+    _write(args.out, render_plot(p, profile, report.violation_point))
     return {
         "report": "plot",
         "out": args.out,
@@ -632,11 +624,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        report = args.fn(args)
-        if args.command == "plot":
-            sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        text = json.dumps(args.fn(args), indent=2) + "\n"
+        if args.out and args.command != "plot":  # plot's --out is the SVG
+            _write(args.out, text)
         else:
-            _emit(report, args.out)
+            sys.stdout.write(text)
     except InfeasibleProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -25,17 +25,6 @@ from .profiles import LossProfile
 # ---------- integrands ----------
 
 
-class Constant:
-    def __init__(self, c: float):
-        self.c = float(c)
-
-    def __call__(self, x: float) -> float:
-        return self.c
-
-    def integral(self, u: float, v: float) -> float:
-        return self.c * (v - u)
-
-
 class ExpNeg:
     """x -> exp(shift - x), with the exact segment antiderivative.
 
@@ -163,18 +152,12 @@ def ramp_ladder(p: Cdf, count: int, width: float):
 # ---------- Stieltjes integration ----------
 
 
-def _as_integrand(g):
-    if isinstance(g, (int, float)):
-        return Constant(g)
-    return g
-
-
 def stieltjes(g, f: MonotoneRC, a: float = -math.inf, b: float = math.inf) -> float:
     """Exact integral of g with respect to df over the interval (a, b].
 
     Jumps of f at a are excluded, at b included; affine pieces contribute
-    through g's closed-form segment integral.  g may be a number (constant)
-    or any object with ``__call__`` and ``integral(u, v)``.
+    through g's closed-form segment integral.  g is any object with
+    ``__call__`` and ``integral(u, v)``.
 
     A ``TestFunction`` is constant outside its nodes x_1..x_k, so only the
     breakpoints of f in the window (max(a, x_1), min(b, x_k)] are summed;
@@ -182,7 +165,6 @@ def stieltjes(g, f: MonotoneRC, a: float = -math.inf, b: float = math.inf) -> fl
     -inf, right of it F(b) - F(x_k) by its limit at +inf.  Two bisections
     find the window, so the cost is O(log n + window), not O(n).
     """
-    g = _as_integrand(g)
     tails = isinstance(g, TestFunction)
     if tails:
         lo = min(max(a, g.xs[0]), b)
@@ -313,31 +295,21 @@ def profile_gamma(profile: LossProfile):
 # ---------- dual lower bounds ----------
 
 
-def risk_lower_bound_from_gamma(
-    t: float,
-    f: TestFunction,
-    gamma_fn,
-    m_lo: float | None = None,
-    m_hi: float | None = None,
-    tol: float = 1e-9,
-) -> float:
+def risk_lower_bound_from_gamma(t: float, f: TestFunction, gamma_fn, tol: float = 1e-9) -> float:
     """inf{m : gamma(m) >= t} by bisection of a nondecreasing gamma.
 
+    The bracket is [-x_k - 1, -x_1 + 1] for f's nodes x_1 < ... < x_k.
     Returns the level from below (never overshoots the infimum), so the
     result is always a valid lower bound for the matched risk.  An empty
     level set -- t above anything gamma can reach -- yields +inf.
     """
-    if m_lo is None:
-        m_lo = -f.xs[-1] - 1.0
-    if m_hi is None:
-        m_hi = -f.xs[0] + 1.0
-    if gamma_fn(m_hi) < t:
+    lo, hi = -f.xs[-1] - 1.0, -f.xs[0] + 1.0
+    if gamma_fn(hi) < t:
         if t > f.limit_left:
             return math.inf
         raise BracketError("widen search bracket")
-    if gamma_fn(m_lo) >= t:
+    if gamma_fn(lo) >= t:
         raise BracketError("widen search bracket")
-    lo, hi = m_lo, m_hi
     for _ in range(200):
         if hi - lo <= tol:
             break

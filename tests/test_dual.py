@@ -6,7 +6,6 @@ import pytest
 from lambdavar import (
     AcceptanceFamily,
     BracketError,
-    Constant,
     DualRangeError,
     Identity,
     NONINCREASING,
@@ -106,6 +105,8 @@ class TestLeftInverse:
 
 
 class TestStieltjes:
+    ONE = dual.TestFunction(((0.0, 1.0),))  # the constant 1
+
     def test_point_mass(self):
         f = random_test_function(random.Random(0))
         assert stieltjes(f, dirac(2.5).payload) == f(2.5)
@@ -114,20 +115,20 @@ class TestStieltjes:
         rng = random.Random(1)
         for _ in range(20):
             p = random_empirical(rng)
-            assert stieltjes(1.0, p.payload) == pytest.approx(1.0)
+            assert stieltjes(self.ONE, p.payload) == pytest.approx(1.0)
 
     def test_uniform_mean(self):
         assert stieltjes(Identity(), uniform(0, 1).payload) == pytest.approx(0.5)
 
     def test_total_mass_of_general_curve(self):
         member = family_member(constant_profile(0.25), 0.0)
-        assert stieltjes(1.0, member) == pytest.approx(
+        assert stieltjes(self.ONE, member) == pytest.approx(
             member.tail_right - member.tail_left
         )
 
     def test_interval_convention_excludes_left_endpoint(self):
         p = from_samples([0.0, 1.0])
-        g = Constant(1.0)
+        g = self.ONE
         assert stieltjes(g, p.payload, 0.0, 1.0) == 0.5
         assert stieltjes(g, p.payload, -1.0, 1.0) == 1.0
         assert stieltjes(g, p.payload, -1.0, 0.5) == 0.5

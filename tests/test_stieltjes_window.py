@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from lambdavar import (
     NONDECREASING,
-    Constant,
     ExpNeg,
     Identity,
     MonotoneRC,
@@ -39,8 +38,6 @@ from test_exact_reference import FracCurve, FracRamp, frac_stieltjes
 
 
 def stieltjes_full_pass(g, f, a=-math.inf, b=math.inf):
-    if isinstance(g, (int, float)):
-        g = Constant(g)
     total = 0.0
     pts = f.points
     for x, l, v in pts:
@@ -186,10 +183,8 @@ class TestTestFunctionIntegrand:
 
 class TestOtherIntegrandsUnchanged:
     INTEGRANDS = st.one_of(
-        st.builds(Constant, st.sampled_from([-1.5, 0.0, 0.25, 2.0])),
         st.just(Identity()),
         st.builds(ExpNeg, st.sampled_from([0.0, -1.0, 2.5])),
-        st.sampled_from([1, 0.5, -2.0]),
     )
 
     @given(
