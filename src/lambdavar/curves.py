@@ -417,7 +417,12 @@ def _piece_at(curve: MonotoneRC, lo: float):
 
 def _solve_level(piece, level):
     xa, ya, xb, yb = piece
-    return xa + (level - ya) * (xb - xa) / (yb - ya)
+    span = xb - xa
+    if math.isfinite(span):
+        return xa + (level - ya) * span / (yb - ya)
+    # the span overflows; half of it does not, and neither does the answer
+    half = (level - ya) * (xb / 2 - xa / 2) / (yb - ya)
+    return xa + half + half
 
 
 def _crossing_point(f: MonotoneRC, g: MonotoneRC, prev: float, x: float):

@@ -106,7 +106,10 @@ def certainty_equivalent(p: Cdf, f) -> float:
             lo = mid
         else:
             hi = mid
-    return -0.5 * (lo + hi)
+    value = -0.5 * (lo + hi)
+    if not math.isfinite(value):
+        raise ValueError("certainty equivalent overflows the float range")
+    return value
 
 
 def entropic(p: Cdf) -> float:

@@ -193,6 +193,40 @@ class TestCompute:
             assert report["value"] == expected
 
 
+class TestOverflowedSpans:
+    """Distributions whose support is wider than the largest float."""
+
+    DATA = {
+        "uniform": '{"type": "uniform", "a": -1e308, "b": 1e308}',
+        "piecewise": '{"type": "piecewise", "points": [[-1e308, 0, 0.5], [1e308, 1, 1]]}',
+    }
+
+    @pytest.mark.parametrize("kind, lam, value", [
+        ("uniform", "0.5", "-0.0"),
+        ("uniform", "0.05", "8.999999999999999e+307"),
+        ("piecewise", "0.5", "1e+308"),
+    ])
+    def test_var(self, capsys, tmp_path, kind, lam, value):
+        data = write(tmp_path, "p.json", self.DATA[kind])
+        report = run_report(capsys, "compute", "--data", data, "--measure", "var", "--lambda", lam)
+        assert repr(report["value"]) == value
+
+    def test_lambda_var(self, capsys, tmp_path):
+        data = write(tmp_path, "p.json", self.DATA["piecewise"])
+        prof = write(tmp_path, "c.json", '{"type": "constant", "lambda": 0.5}')
+        report = run_report(capsys, "compute", "--data", data, "--measure", "lambda-var",
+                            "--profile", prof)
+        assert report["value"] == 1e308
+        assert report["diagnostics"]["violation_point"] == -1e308
+
+    @pytest.mark.parametrize("kind", sorted(DATA))
+    def test_certainty_equivalent_names_the_overflow(self, capsys, tmp_path, kind):
+        data = write(tmp_path, "p.json", self.DATA[kind])
+        code, out, err = run_cli(capsys, "compute", "--data", data, "--measure", "certainty-eq")
+        assert (code, out) == (2, "")
+        assert err == "error: certainty equivalent overflows the float range\n"
+
+
 class TestParsers:
     def test_distribution_kinds(self):
         d = parse_distribution({"type": "dirac", "x": 2.0})
