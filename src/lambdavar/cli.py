@@ -324,6 +324,11 @@ class _Unwritable(Exception):
     pass
 
 
+def _diagnostics(report) -> dict:
+    """Where a lambda-var report found its risk, as compute and plot print it."""
+    return {"violation_point": report.violation_point, "finiteness_case": report.finiteness_case}
+
+
 def cmd_compute(args) -> dict:
     if args.measure == "lambda-var" and not args.profile:
         raise ValueError("--measure lambda-var requires --profile")
@@ -342,10 +347,7 @@ def cmd_compute(args) -> dict:
         inputs["profile"] = echo
         report = lambda_var(p, profile)
         value = report.value
-        diagnostics = {
-            "violation_point": report.violation_point,
-            "finiteness_case": report.finiteness_case,
-        }
+        diagnostics = _diagnostics(report)
     elif args.measure == "var":
         value = value_at_risk(p, args.lam)
     elif args.measure == "worst-case":
@@ -532,10 +534,7 @@ def cmd_plot(args) -> dict:
         "report": "plot",
         "out": args.out,
         "value": encode_value(report.value),
-        "diagnostics": {
-            "violation_point": report.violation_point,
-            "finiteness_case": report.finiteness_case,
-        },
+        "diagnostics": _diagnostics(report),
     }
 
 

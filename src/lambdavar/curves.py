@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 from itertools import chain, compress, islice, repeat
-from operator import ne, truediv
+from operator import ge, le, ne, truediv
 from types import SimpleNamespace
 
 NONDECREASING = "nondecreasing"
@@ -27,9 +27,15 @@ _RANGE_SLACK = 1e-9
 
 
 def _interp(xa, ya, xb, yb, x):
-    # Shared interpolation form: crossing and quantile arithmetic must use the
-    # same expression so identical inputs produce identical floats.
-    return ya + (x - xa) * (yb - ya) / (xb - xa)
+    # The one segment formula, so identical inputs give identical floats.  A
+    # span wider than the float range halves the differences on its axis.
+    dx, dy = xb - xa, yb - ya
+    if dx - dx == dy - dy == 0.0:  # both spans finite
+        return ya + (x - xa) * dy / dx
+    if not math.isfinite(dx):  # halving keeps the ratio of x's differences
+        x, xa, xb = x / 2, xa / 2, xb / 2
+    half = (x - xa) * (yb / 2 - ya / 2) / (xb - xa)
+    return ya + half + half
 
 
 def _clip01(y):
@@ -127,10 +133,8 @@ class MonotoneRC(_Record):
                 raise ValueError("value of last breakpoint must equal tail_right")
         elif tl != tr:
             raise ValueError("a curve without breakpoints must be constant")
-        if orientation == NONDECREASING:
-            self._check_monotone(ls, vs, up=True)
-        elif orientation == NONINCREASING:
-            self._check_monotone(ls, vs, up=False)
+        if orientation in (NONDECREASING, NONINCREASING):
+            self._check_monotone(ls, vs, up=orientation == NONDECREASING)
         elif orientation is not None:
             raise ValueError(f"unknown orientation {orientation!r}")
         self._fill(xs, ls, vs, tl, tr, orientation)
@@ -153,15 +157,15 @@ class MonotoneRC(_Record):
 
     @staticmethod
     def _check_monotone(lefts, values, up):
-        def ok(a, b):
-            return a <= b if up else a >= b
-        prev_v = None
-        for l, v in zip(lefts, values):
-            if not ok(l, v):
-                raise ValueError("breakpoint jump violates orientation")
-            if prev_v is not None and not ok(prev_v, l):
+        # the chain l0, v0, l1, v1, ...: even links are jumps, odd ones slopes
+        levels = list(chain.from_iterable(zip(lefts, values)))
+        ok = list(map(le if up else ge, levels, islice(levels, 1, None)))
+        if not all(ok):
+            k = ok.index(False)
+            # a breakpoint whose jump fails is named by it, not by the slope into it
+            if k % 2 and ok[k + 1]:
                 raise ValueError("segment slope violates orientation")
-            prev_v = v
+            raise ValueError("breakpoint jump violates orientation")
 
     # ---------- evaluation ----------
 
@@ -231,7 +235,9 @@ class _LazyRC(MonotoneRC):
     The first read of ``xs``, ``lefts`` or ``values``, or ``repr``, ``==``
     or ``hash``, builds the rest and turns the curve into a plain
     ``MonotoneRC``; the lookup hook stays off the class every other curve
-    has, where it would slow each attribute read.
+    has, where it would slow each attribute read.  Threads may share the
+    curve: completing it twice builds equal columns, and any read finds
+    them in place once the samples are gone.
     """
 
     def __init__(self, prefix: tuple, samples: list):
@@ -242,32 +248,29 @@ class _LazyRC(MonotoneRC):
         )
 
     def __getattr__(self, name):
-        # reached only for a name the instance lacks
+        # for a name the instance lacks; by class, as a thread may have swapped it
         if name in ("xs", "lefts", "values"):
-            self._complete()
+            _LazyRC._complete(self)
             return vars(self)[name]
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def _complete(self):
         """Build all the columns from the samples; the curve is then a MonotoneRC."""
         d = vars(self)
-        samples = d["_samples"]
-        samples.sort()
-        d["xs"], d["lefts"], d["values"] = _sample_columns(samples, len(samples))
-        del d["_prefix"], d["_samples"]
+        samples = d.get("_samples")
+        if samples is not None:  # else another thread has built the columns
+            samples.sort()
+            d.update(zip(("xs", "lefts", "values"), _sample_columns(samples, len(samples))))
+            d.pop("_prefix", None)
+            d.pop("_samples", None)
         object.__setattr__(self, "__class__", MonotoneRC)
 
-    def __repr__(self):
-        self._complete()
-        return repr(self)
-
+    # repr and hash read xs, which completes the curve; == completes it first
     def __eq__(self, other):
-        self._complete()
+        _LazyRC._complete(self)
         return self == other
 
-    def __hash__(self):
-        self._complete()
-        return hash(self)
+    __hash__ = _Record.__hash__
 
 
 def _drop_collinear(triples):
@@ -416,13 +419,9 @@ def _piece_at(curve: MonotoneRC, lo: float):
 
 
 def _solve_level(piece, level):
+    # the piece's inverse: the segment formula with the axes swapped
     xa, ya, xb, yb = piece
-    span = xb - xa
-    if math.isfinite(span):
-        return xa + (level - ya) * span / (yb - ya)
-    # the span overflows; half of it does not, and neither does the answer
-    half = (level - ya) * (xb / 2 - xa / 2) / (yb - ya)
-    return xa + half + half
+    return _interp(ya, xa, yb, xb, level)
 
 
 def _crossing_point(f: MonotoneRC, g: MonotoneRC, prev: float, x: float):

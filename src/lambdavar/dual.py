@@ -263,29 +263,20 @@ def _gamma_flat(m: float, f: TestFunction, profile: LossProfile) -> float:
 def profile_gamma(profile: LossProfile):
     """The (m, f) -> gamma callable matching the profile's orientation.
 
-    For a nondecreasing profile the pieces of f against the profile are
-    built once per test function: the callable keeps those of the last f it
-    saw, since the bisection in ``risk_lower_bound_from_gamma`` asks for
-    many levels m with one f.  For a nonincreasing profile the checks of
-    ``gamma_decreasing`` hold for the profile, not for one call, so the
-    callable runs them at its first call only.
+    The checks of ``gamma_increasing`` and ``gamma_decreasing`` hold for
+    the profile, not for one call, so they run here, once.  The pieces of f
+    against a nondecreasing profile are kept for the last f seen, since the
+    bisection in ``risk_lower_bound_from_gamma`` asks for many levels m with
+    one f.
     """
     if not profile.is_nondecreasing:
-        checked = False
-
-        def gamma_flat(m, f):
-            nonlocal checked
-            if not checked:
-                _require_flat_gamma(profile)
-                checked = True
-            return _gamma_flat(m, f, profile)
-
-        return gamma_flat
+        _require_flat_gamma(profile)
+        return lambda m, f: _gamma_flat(m, f, profile)
+    profile.require_feasible()
     cache = [None, None]  # the last f, and its pieces
 
     def gamma(m, f):
         if cache[0] is not f:
-            profile.require_feasible()
             cache[:] = f, _profile_pieces(f, profile.curve)
         return _gamma_from_pieces(m, f, cache[1])
 
@@ -301,8 +292,12 @@ def risk_lower_bound_from_gamma(t: float, f: TestFunction, gamma_fn, tol: float 
     The bracket is [-x_k - 1, -x_1 + 1] for f's nodes x_1 < ... < x_k.
     Returns the level from below (never overshoots the infimum), so the
     result is always a valid lower bound for the matched risk.  An empty
-    level set -- t above anything gamma can reach -- yields +inf.
+    level set -- t above anything gamma can reach -- yields +inf.  Gamma
+    never falls below f(+inf), so for t at or below it the level set is the
+    whole line and no bracket holds its infimum.
     """
+    if t <= f.limit_right:
+        raise BracketError("widen search bracket")
     lo, hi = -f.xs[-1] - 1.0, -f.xs[0] + 1.0
     if gamma_fn(hi) < t:
         if t > f.limit_left:

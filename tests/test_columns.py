@@ -316,12 +316,11 @@ class TestFlatGammaChecks:
         steps = piecewise_profile([(0.0, 0.3, 0.1)], (0.3, 0.1), NONINCREASING)
         infeasible = piecewise_profile([(0.0, 1.0, 0.5), (1.0, 0.5, 0.5)], (1.0, 0.5), NONINCREASING)
         for profile, error in [(steps, ValueError), (infeasible, InfeasibleProfileError)]:
-            gamma = profile_gamma(profile)
             with pytest.raises(error) as want:
                 gamma_decreasing(0.0, f, profile)
             for _ in range(2):  # a failed check is not remembered as passed
                 with pytest.raises(error) as got:
-                    gamma(0.0, f)
+                    profile_gamma(profile)  # checked when it is built
                 assert type(got.value) is type(want.value)
                 assert str(got.value) == str(want.value)
 

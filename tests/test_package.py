@@ -315,3 +315,27 @@ def test_demo_runs(demo, tmp_path):
     assert proc.stdout
     if demo == "risk_profiles.py":
         assert (tmp_path / "risk_profiles.svg").read_text().startswith("<svg")
+
+
+def _is_segment_formula(node):
+    """A product with a difference factor divided by a non-constant: the shape
+    of ``ya + (x - xa) * (yb - ya) / (xb - xa)``, however its spans are named."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Mult)
+            and any(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Sub)
+                    for side in (node.left.left, node.left.right))
+            and not isinstance(node.right, ast.Constant))
+
+
+def test_one_segment_formula():
+    """Interpolation and its inverse share curves._interp, so the formula and
+    its overflow guard cannot fork again; oracles is a reference and exempt."""
+    homes = set()
+    for module in [*RUNTIME_MODULES, "checks"]:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        fns = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+        for node in filter(_is_segment_formula, ast.walk(tree)):
+            # ast.walk goes outside in, so the last function holding it is the innermost
+            names = [fn.name for fn in fns if node in ast.walk(fn)]
+            homes.add((module, names[-1] if names else None))
+    assert homes == {("curves", "_interp")}
