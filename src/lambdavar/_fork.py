@@ -1,4 +1,5 @@
-"""The one place the package forks: a job's later chunks run in workers.
+"""The one place the package forks and ends processes: a job's later chunks
+run in workers, and a CLI run leaves without interpreter teardown.
 
 A worker sends its result back through a pipe with marshal, so a result is
 built of floats, ints, bools, None, str, bytes, tuples and lists, and every
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import marshal
 import os
+import sys
 
 _MAX_CHUNKS = 8
 
@@ -93,3 +95,19 @@ def _work(fn, chunk, w: int, pipes) -> None:
         status = 0
     finally:
         os._exit(status)
+
+
+def leave(code: int):
+    """End the process with status code after the atexit callbacks and a flush
+    of both streams, without interpreter teardown.  A failed flush here is not
+    reported, so the caller flushes its output and reports its errors first."""
+    import atexit
+
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except (OSError, ValueError):  # a closed or failed stream: nowhere to say so
+                pass
+    os._exit(code)

@@ -4,7 +4,9 @@ Reads loss data (CSV, one numeric per line, optional "value" header) or a
 distribution JSON, plus a profile JSON, and emits machine-readable JSON
 reports on stdout (or --out).  Human messages go to stderr.  Exit codes:
 0 ok, 2 parse error, 3 infeasible profile, 4 numerical bracket failure,
-5 unwritable output path.
+5 unwritable output (an --out path, or stdout closed, full or a broken
+pipe).  Run as a program, the process ends without interpreter teardown
+once its report is written; atexit callbacks still run.
 
 Sign convention for CSV data: each line is a realized outcome of the
 position (negative = a loss of money); the reported risk is the capital
@@ -21,7 +23,7 @@ import os
 import stat
 import sys
 
-from ._fork import chunk_count, map_chunks
+from ._fork import chunk_count, leave, map_chunks
 from .curves import Cdf, _from_floats, dirac, from_samples, mixture, piecewise_cdf, uniform
 from .exceptions import BracketError, DualRangeError, InfeasibleProfileError
 from .measures import (
@@ -316,6 +318,17 @@ def _write(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _Unwritable(str(exc))
+
+
+def _print(text: str) -> None:
+    """Write text to stdout and flush it: a closed stdout or an OSError becomes exit code 5."""
+    if sys.stdout is None:
+        raise _Unwritable("stdout is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except OSError as exc:
         raise _Unwritable(str(exc))
 
@@ -627,7 +640,7 @@ def main(argv=None) -> int:
         if args.out and args.command != "plot":  # plot's --out is the SVG
             _write(args.out, text)
         else:
-            sys.stdout.write(text)
+            _print(text)
     except InfeasibleProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -643,5 +656,11 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """The program's entry point: main's exit code, without interpreter teardown.
+    argparse's own exits and an unexpected exception end the process as usual."""
+    leave(main())
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

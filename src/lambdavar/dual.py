@@ -141,6 +141,9 @@ def ramp_ladder(p: Cdf, count: int, width: float):
         raise ValueError("window width must be positive and finite")
     start = p.support_lower - width
     span = p.support_upper - start
+    if not span < math.inf:
+        raise ValueError(f"support from {p.support_lower!r} to {p.support_upper!r}, widened by "
+                         f"the window width {width!r}, is wider than the float range")
     step = span / count
     cs = [start + (i + 1) * step for i in range(count)]
     for c in cs:
@@ -187,7 +190,11 @@ def stieltjes(g, f: MonotoneRC, a: float = -math.inf, b: float = math.inf) -> fl
         u = max(xa, lo)
         v_ = min(xb, hi)
         if u < v_:
-            slope = (lb - va) / (xb - xa)
+            span = xb - xa
+            if span - span == 0.0:
+                slope = (lb - va) / span
+            else:  # a span wider than the float range, halved
+                slope = (lb - va) / (xb / 2 - xa / 2) / 2
             total += slope * g.integral(u, v_)
     if tails:
         if a < lo:

@@ -99,17 +99,23 @@ def certainty_equivalent(p: Cdf, f) -> float:
         if grow > 200:
             raise ValueError("not invertible at integral value")
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
+        mid = _midpoint(lo, hi)
         if not lo < mid < hi:
             break
         if f(mid) >= integral:
             lo = mid
         else:
             hi = mid
-    value = -0.5 * (lo + hi)
+    value = -_midpoint(lo, hi)
     if not math.isfinite(value):
         raise ValueError("certainty equivalent overflows the float range")
     return value
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    """(lo + hi) / 2, halved first where lo + hi leaves the float range."""
+    mid = 0.5 * (lo + hi)
+    return mid if math.isfinite(mid) else lo / 2 + hi / 2
 
 
 def entropic(p: Cdf) -> float:

@@ -219,12 +219,31 @@ class TestOverflowedSpans:
         assert report["value"] == 1e308
         assert report["diagnostics"]["violation_point"] == -1e308
 
+    # The exact values are 1e308 - ln(2e308) on the uniform and 1e308 - ln 2 on
+    # the piecewise law, -1e308 + ln(7e307) on the high uniform and 1.7e308 -
+    # ln(7e307) on the low one; each rounds to the support end it names.  On the
+    # high and low uniforms the ends of the bisection's bracket sum past the
+    # float range.
+    WIDER = {**DATA, "high": '{"type": "uniform", "a": 1e308, "b": 1.7e308}',
+             "low": '{"type": "uniform", "a": -1.7e308, "b": -1e308}'}
+
+    @pytest.mark.parametrize("measure", ["entropic", "certainty-eq"])
+    @pytest.mark.parametrize("kind, value", [
+        ("uniform", "1e+308"), ("piecewise", "1e+308"), ("high", "-1e+308"),
+        ("low", "1.7e+308"),
+    ])
+    def test_exponential_measures(self, capsys, tmp_path, kind, value, measure):
+        data = write(tmp_path, "p.json", self.WIDER[kind])
+        report = run_report(capsys, "compute", "--data", data, "--measure", measure)
+        assert repr(report["value"]) == value
+
     @pytest.mark.parametrize("kind", sorted(DATA))
-    def test_certainty_equivalent_names_the_overflow(self, capsys, tmp_path, kind):
+    def test_duality_names_the_overflowed_span(self, capsys, tmp_path, kind, step_json):
         data = write(tmp_path, "p.json", self.DATA[kind])
-        code, out, err = run_cli(capsys, "compute", "--data", data, "--measure", "certainty-eq")
+        code, out, err = run_cli(capsys, "duality", "--data", data, "--profile", step_json)
         assert (code, out) == (2, "")
-        assert err == "error: certainty equivalent overflows the float range\n"
+        assert err == ("error: support from -1e+308 to 1e+308, widened by the window width "
+                       "0.01, is wider than the float range\n")
 
 
 class TestParsers:

@@ -4,9 +4,10 @@
 expression with the axes swapped, and a span wider than the float range is
 halved before it is used.  On finite spans both keep the floats of the two
 expressions they replaced, copied here as oracles; on spans that overflow
-they agree with the exact ``Fraction`` reference.  ``_check_monotone``
-judges the chain of levels in one pass and names the error the loop it
-replaced named.  A lazy curve may be completed by several threads at once.
+they agree with the exact ``Fraction`` reference, and so does ``stieltjes``.
+``_check_monotone`` judges the chain of levels in one pass and names the
+error the loop it replaced named.  A lazy curve may be completed by several
+threads at once.
 The wide-span commands and the two check seeds that changed are pinned
 through ``main``.
 """
@@ -23,10 +24,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from lambdavar import mixture, piecewise_cdf
+from lambdavar import mixture, piecewise_cdf, stieltjes
+from lambdavar import TestFunction as Ramp
 from lambdavar.curves import MonotoneRC, _interp, _solve_level
 from test_cli import run_cli, run_report, write
-from test_exact_reference import FracCurve
+from test_exact_reference import FracCurve, FracRamp, frac_stieltjes
 from test_package import python
 
 MAX = sys.float_info.max
@@ -136,6 +138,31 @@ def test_quantile_on_an_overflowed_span_matches_the_reference(f, u):
     i = bisect.bisect_right(c.values, u)
     ends = c.xs[max(i - 1, 0):i + 1]
     assert within_8_ulps(f.quantile_right(u), exact_quantile(c, u), ends)
+
+
+@st.composite
+def ramps(draw):
+    """A test function with nodes in [-MAX/4, MAX/4] and values in [-1, 1], so
+    that its own trapezoids stay in the float range."""
+    xs = sorted(draw(st.lists(st.floats(min_value=-MAX / 4, max_value=MAX / 4),
+                              min_size=1, max_size=4, unique=True)))
+    ys = sorted(draw(st.lists(st.integers(-8, 8), min_size=len(xs), max_size=len(xs))),
+                reverse=True)
+    return Ramp([(x, y / 8) for x, y in zip(xs, ys)])
+
+
+@given(ramps(), wide_cdfs(), st.none() | st.tuples(st.floats(min_value=-MAX, max_value=MAX),
+                                                   st.floats(min_value=-MAX, max_value=MAX)))
+def test_stieltjes_on_an_overflowed_span_matches_the_reference(g, f, window):
+    # the test function's nodes lie inside the piece wider than the float range
+    c = f.payload
+    if window:
+        a, b = sorted(window)
+        got = stieltjes(g, c, a, b)
+        want = frac_stieltjes(FracRamp(g), FracCurve(c), Fraction(a), Fraction(b))
+    else:
+        got, want = stieltjes(g, c), frac_stieltjes(FracRamp(g), FracCurve(c))
+    assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 13)
 
 
 # ---------- orientation in one pass ----------

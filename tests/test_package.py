@@ -8,8 +8,9 @@ import``, and check in fresh interpreters that ``compute``, ``duality`` and
 ``dataclasses``, and that only the suites that use them load ``oracles``,
 only the commands that digest a file load ``hashlib``, only the commands
 that integrate against a test function load ``dual``, and a small CSV loads
-no ``array``.  ``os.fork`` and ``os._exit`` are called in one module only.
-The demos run end to end.
+no ``array``.  ``os.fork`` and ``os._exit`` are called in one module only,
+and both entry points of the program end through ``cli.run``.  The demos
+run end to end.
 """
 
 import ast
@@ -293,6 +294,22 @@ def test_one_module_forks():
                     and node.func.attr in ("fork", "_exit")):
                 callers.setdefault(node.func.attr, set()).add(path.stem)
     assert callers == {"fork": {"_fork"}, "_exit": {"_fork"}}
+
+
+def test_both_entry_points_end_through_run():
+    """``python -m lambdavar.cli`` and the installed ``lambdavar`` command both
+    call cli.run, which leaves without interpreter teardown."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    mains = [node for node in tree.body if isinstance(node, ast.If)
+             and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for main in mains for stmt in main.body] == ["run()"]
+    if sys.version_info < (3, 11):
+        pytest.skip("tomllib is new in Python 3.11")
+    import tomllib
+
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"lambdavar": "lambdavar.cli:run"}
 
 
 def test_no_module_reads_the_data_again_to_hash_it():

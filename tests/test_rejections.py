@@ -93,10 +93,13 @@ class TestSubUlpLadderWidth:
         with pytest.raises(ValueError, match=r"window width 5000\.0 vanishes"):
             ramp_ladder(from_samples([0.0, 1e20]), 200, 5000.0)
 
-    def test_window_start_beyond_float_range(self):
-        # the span overflows, so the window starts are not numbers
-        with pytest.raises(ValueError, match=r"window width 1e\+308 vanishes"):
-            ramp_ladder(from_samples([-1e308, 1e308]), 2, 1e308)
+    @pytest.mark.parametrize("samples, width", [([-1e308, 1e308], 1e308),
+                                                ([-1e308, 1e308], 0.01),
+                                                ([-1.7e308, 0.0], 1e308)])
+    def test_a_span_beyond_float_range_is_named(self, samples, width):
+        # the span overflows, so no grid of window starts exists
+        with pytest.raises(ValueError, match=r"is wider than the float range"):
+            ramp_ladder(from_samples(samples), 2, width)
 
     def test_representable_width_builds_every_window(self):
         fs = ramp_ladder(from_samples([0.0, 1e20]), 4, 1e5)
