@@ -337,6 +337,18 @@ class _Unwritable(Exception):
     pass
 
 
+def _error(line: str) -> None:
+    """Write line to stderr.  A closed or failed stderr drops it; it never
+    goes to stdout, which holds only reports."""
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(line + "\n")
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        pass
+
+
 def _diagnostics(report) -> dict:
     """Where a lambda-var report found its risk, as compute and plot print it."""
     return {"violation_point": report.violation_point, "finiteness_case": report.finiteness_case}
@@ -642,16 +654,16 @@ def main(argv=None) -> int:
         else:
             _print(text)
     except InfeasibleProfileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return 3
     except (BracketError, DualRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return 4
     except _Unwritable as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        _error(f"error: cannot write output: {exc}")
         return 5
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return 2
     return 0
 

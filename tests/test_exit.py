@@ -4,10 +4,13 @@ Run as a program, ``lambdavar`` writes and flushes its report inside
 ``main`` and then leaves through ``_fork.leave``: the atexit callbacks run,
 the streams are flushed, and the process ends without interpreter teardown.
 A stdout that cannot take the report (a closed pipe, a full device, a closed
-descriptor) exits 5 with one line on stderr, buffered or not.  Through
-``python -m`` every command prints what ``main`` prints in-process.
+descriptor) exits 5 with one line on stderr, buffered or not.  A closed
+stderr drops the error line: every error exit keeps its code, and nothing
+goes to stdout.  Through ``python -m`` every command prints what ``main``
+prints in-process.
 """
 
+import io
 import json
 import os
 import shutil
@@ -163,6 +166,62 @@ def test_an_unwritable_stdout_exits_5(inputs, command, route, unbuffered):
     proc = send(inputs, SMALL[command], unbuffered)
     assert proc.returncode == 5
     assert proc.stderr.decode() == f"error: cannot write output: {reason}\n"
+
+
+# ---------- a closed stderr ----------
+
+
+# exit 4 needs a dual bound that cannot be bracketed; this wrapper makes
+# duality's bound fail that way, then runs the program as python -m does
+FAILING_BOUND = textwrap.dedent("""
+    import runpy, sys
+    from lambdavar import dual
+    from lambdavar.exceptions import BracketError
+
+    def fail(*args, **kwargs):
+        raise BracketError("widen search bracket")
+
+    dual.representation_bound = fail
+    sys.argv = ["lambdavar", *sys.argv[1:]]
+    runpy.run_module("lambdavar.cli", run_name="__main__")
+""")
+
+ERRORS = {
+    "parse-2": (["-m", "lambdavar.cli", "compute", "--data", "missing.csv",
+                 "--measure", "worst-case"], 2),
+    "infeasible-3": (["-m", "lambdavar.cli", "compute", "--data", "data.csv",
+                      "--measure", "lambda-var", "--profile", "one.json"], 3),
+    "bracket-4": (["failing_bound.py", "duality", "--data", "data.csv",
+                   "--profile", "step.json", "--functions", "5"], 4),
+    "unwritable-5": (["-m", "lambdavar.cli", "compute", "--data", "data.csv",
+                      "--measure", "worst-case", "--out", "."], 5),
+}
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("error", sorted(ERRORS))
+def test_a_closed_stderr_keeps_the_exit_code_and_stdout_empty(inputs, error, unbuffered):
+    sh = shutil.which("sh")
+    if sh is None:
+        pytest.skip("no sh")
+    (inputs / "failing_bound.py").write_text(FAILING_BOUND)
+    argv, code = ERRORS[error]
+    proc = subprocess.run(
+        [sh, "-c", 'exec "$0" "$@" 2>&-', sys.executable, *argv],
+        cwd=inputs, env=env(unbuffered), stdout=subprocess.PIPE, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (code, b"")
+
+
+@pytest.mark.parametrize("stderr", [None, "closed"])
+def test_an_error_line_never_falls_back_to_stdout(monkeypatch, capsys, stderr):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise OSError(9, "Bad file descriptor")
+
+    monkeypatch.setattr(sys, "stderr", None if stderr is None else Closed())
+    assert main(["compute", "--data", "missing.csv", "--measure", "worst-case"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 # ---------- python -m prints what main prints ----------

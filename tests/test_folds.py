@@ -24,7 +24,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from lambdavar import mixture, piecewise_cdf, stieltjes
+from lambdavar import mixture, piecewise_cdf, stieltjes, uniform
 from lambdavar import TestFunction as Ramp
 from lambdavar.curves import MonotoneRC, _interp, _solve_level
 from test_cli import run_cli, run_report, write
@@ -142,13 +142,54 @@ def test_quantile_on_an_overflowed_span_matches_the_reference(f, u):
 
 @st.composite
 def ramps(draw):
-    """A test function with nodes in [-MAX/4, MAX/4] and values in [-1, 1], so
-    that its own trapezoids stay in the float range."""
-    xs = sorted(draw(st.lists(st.floats(min_value=-MAX / 4, max_value=MAX / 4),
+    """A test function with nodes anywhere in the float range and values in
+    [-1/4, 1/4], so that every exact integral of it stays in the float range."""
+    xs = sorted(draw(st.lists(st.floats(min_value=-MAX, max_value=MAX),
                               min_size=1, max_size=4, unique=True)))
     ys = sorted(draw(st.lists(st.integers(-8, 8), min_size=len(xs), max_size=len(xs))),
                 reverse=True)
-    return Ramp([(x, y / 8) for x, y in zip(xs, ys)])
+    return Ramp([(x, y / 32) for x, y in zip(xs, ys)])
+
+
+def integral_before(g, u, v):
+    xs = g.xs
+    cuts = [u, *xs[bisect.bisect_right(xs, u):bisect.bisect_left(xs, v)], v]
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        total += (b - a) * (g(a) + g(b)) / 2.0
+    return total
+
+
+@given(st.lists(st.tuples(finite, finite), min_size=1, max_size=4), finite, finite)
+def test_integral_keeps_its_floats_on_finite_spans(nodes, u, v):
+    xs = sorted({x for x, _ in nodes})
+    ys = sorted((y for _, y in nodes), reverse=True)[:len(xs)]
+    u, v = sorted((u, v))
+    assume(math.isfinite(v - u))
+    g = Ramp(zip(xs, ys))
+    assert repr(g.integral(u, v)) == repr(integral_before(g, u, v))
+
+
+@given(ramps(), low | st.floats(min_value=-MAX, max_value=MAX),
+       high | st.floats(min_value=-MAX, max_value=MAX))
+def test_integral_over_the_float_range_matches_the_reference(g, u, v):
+    u, v = sorted((u, v))
+    want = FracRamp(g).integral(Fraction(u), Fraction(v))
+    scale = (Fraction(v) - Fraction(u)) * Fraction(max(abs(y) for y in g.values))
+    assert abs(Fraction(g.integral(u, v)) - want) <= scale / 2 ** 46 + Fraction(1, 2 ** 1060)
+
+
+@pytest.mark.parametrize("ends, integral, mass", [
+    ((1.0, 0.5), 1.5e308, Fraction(3, 4)),
+    ((1.0, -1.0), 0.0, Fraction(0)),
+], ids=["positive", "symmetric"])
+def test_a_ramp_wider_than_the_float_range(ends, integral, mass):
+    g = Ramp([(-1e308, ends[0]), (1e308, ends[1])])
+    assert g.integral(-1e308, 1e308) == integral
+    assert Fraction(integral) == FracRamp(g).integral(Fraction(-1e308), Fraction(1e308))
+    got = stieltjes(g, uniform(-1e308, 1e308).payload)
+    assert frac_stieltjes(FracRamp(g), FracCurve(uniform(-1e308, 1e308).payload)) == mass
+    assert abs(Fraction(got) - mass) <= Fraction(math.ulp(1.0))
 
 
 @given(ramps(), wide_cdfs(), st.none() | st.tuples(st.floats(min_value=-MAX, max_value=MAX),
