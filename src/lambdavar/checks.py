@@ -13,10 +13,9 @@ random.Random(seed); judges the trials in one contiguous chunk per usable
 CPU, the later chunks in forked workers; and folds the verdicts in trial
 order.  So a report does not depend on how many CPUs judged it.
 
-``duality-sandwich`` sweeps the truncations of each family member at -1,
-..., -50 lazily and stops after the first accepted one left of every
-breakpoint of the member and of the test function, where the rest integrate
-to the same float; its reports are byte-identical to the full sweep's.
+``duality-sandwich`` runs ``oracles._gamma_truncations``, which stops the
+full truncation sweep at its first accepted repeated candidate and keeps its
+reports byte-identical.
 
 Only ``duality-sandwich`` reads ``tol``: it is the bisection tolerance of the
 dual bound.  The other suites take it and ignore it; their thresholds are

@@ -92,19 +92,20 @@ class TestFunction(_Record):
     def integral(self, u: float, v: float) -> float:
         """Exact integral of f over [u, v] (trapezoid on each affine piece).
 
-        A trapezoid wider than the float range takes half its width, which
-        stays finite, in place of the width and the halving."""
+        A trapezoid whose width, or whose width times the sum of its ends,
+        leaves the float range takes half its width, which stays finite, in
+        place of the width and the halving; a finite trapezoid keeps its float."""
         if v < u:
             raise ValueError("reversed integration interval")
         xs = self.xs
         cuts = [u, *xs[bisect.bisect_right(xs, u):bisect.bisect_left(xs, v)], v]
         total = 0.0
         for a, b in zip(cuts, cuts[1:]):
-            width = b - a
-            if width - width == 0.0:
-                total += width * (self(a) + self(b)) / 2.0
-            else:
-                total += (b / 2 - a / 2) * (self(a) + self(b))
+            s = self(a) + self(b)
+            t = (b - a) * s / 2.0
+            if t - t != 0.0:
+                t = (b / 2 - a / 2) * s
+            total += t
         return total
 
     def left_inverse(self, y: float):

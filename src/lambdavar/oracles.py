@@ -5,12 +5,9 @@ These routes keep its definition, -sup{m : P accepted at level m}, and the
 sweeps, bisections and probes that test the closed forms against it.  Only
 tests, the ``check`` suites and the demos import this module.
 
-``gamma_bruteforce`` over ``truncation_candidates`` is the full sweep.  The
-``duality-sandwich`` suite runs ``_gamma_truncations`` instead: it builds
-the truncations one at a time and stops after the first one left of every
-breakpoint of the member and of f that the risk accepts, since the rest
-repeat its integral.  It returns the full sweep's float, or its error, so the
-suite's reports are byte-identical.
+``gamma_bruteforce`` over ``truncation_candidates`` is the full sweep; the
+``duality-sandwich`` suite runs ``_gamma_truncations``, which stops it early
+with the same result.
 """
 
 from __future__ import annotations

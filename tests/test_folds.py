@@ -4,7 +4,8 @@
 expression with the axes swapped, and a span wider than the float range is
 halved before it is used.  On finite spans both keep the floats of the two
 expressions they replaced, copied here as oracles; on spans that overflow
-they agree with the exact ``Fraction`` reference, and so does ``stieltjes``.
+they agree with the exact ``Fraction`` reference, and so do ``stieltjes`` and
+``TestFunction.integral``.
 ``_check_monotone`` judges the chain of levels in one pass and names the
 error the loop it replaced named.  A lazy curve may be completed by several
 threads at once.
@@ -142,8 +143,20 @@ def test_quantile_on_an_overflowed_span_matches_the_reference(f, u):
 
 @st.composite
 def ramps(draw):
+    """A test function with nodes in [-MAX/4, MAX/4] and values in [-1, 1], so
+    that its own trapezoids stay in the float range."""
+    xs = sorted(draw(st.lists(st.floats(min_value=-MAX / 4, max_value=MAX / 4),
+                              min_size=1, max_size=4, unique=True)))
+    ys = sorted(draw(st.lists(st.integers(-8, 8), min_size=len(xs), max_size=len(xs))),
+                reverse=True)
+    return Ramp([(x, y / 8) for x, y in zip(xs, ys)])
+
+
+@st.composite
+def wide_ramps(draw):
     """A test function with nodes anywhere in the float range and values in
-    [-1/4, 1/4], so that every exact integral of it stays in the float range."""
+    [-1/4, 1/4], so that every exact integral of it stays in the float range
+    while a trapezoid's width can leave it."""
     xs = sorted(draw(st.lists(st.floats(min_value=-MAX, max_value=MAX),
                               min_size=1, max_size=4, unique=True)))
     ys = sorted(draw(st.lists(st.integers(-8, 8), min_size=len(xs), max_size=len(xs))),
@@ -161,16 +174,17 @@ def integral_before(g, u, v):
 
 
 @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=4), finite, finite)
-def test_integral_keeps_its_floats_on_finite_spans(nodes, u, v):
+def test_integral_keeps_its_floats_where_they_are_finite(nodes, u, v):
     xs = sorted({x for x, _ in nodes})
     ys = sorted((y for _, y in nodes), reverse=True)[:len(xs)]
     u, v = sorted((u, v))
-    assume(math.isfinite(v - u))
     g = Ramp(zip(xs, ys))
-    assert repr(g.integral(u, v)) == repr(integral_before(g, u, v))
+    before = integral_before(g, u, v)
+    assume(math.isfinite(before))
+    assert repr(g.integral(u, v)) == repr(before)
 
 
-@given(ramps(), low | st.floats(min_value=-MAX, max_value=MAX),
+@given(wide_ramps(), low | st.floats(min_value=-MAX, max_value=MAX),
        high | st.floats(min_value=-MAX, max_value=MAX))
 def test_integral_over_the_float_range_matches_the_reference(g, u, v):
     u, v = sorted((u, v))
@@ -179,17 +193,21 @@ def test_integral_over_the_float_range_matches_the_reference(g, u, v):
     assert abs(Fraction(g.integral(u, v)) - want) <= scale / 2 ** 46 + Fraction(1, 2 ** 1060)
 
 
-@pytest.mark.parametrize("ends, integral, mass", [
-    ((1.0, 0.5), 1.5e308, Fraction(3, 4)),
-    ((1.0, -1.0), 0.0, Fraction(0)),
-], ids=["positive", "symmetric"])
-def test_a_ramp_wider_than_the_float_range(ends, integral, mass):
-    g = Ramp([(-1e308, ends[0]), (1e308, ends[1])])
-    assert g.integral(-1e308, 1e308) == integral
-    assert Fraction(integral) == FracRamp(g).integral(Fraction(-1e308), Fraction(1e308))
-    got = stieltjes(g, uniform(-1e308, 1e308).payload)
-    assert frac_stieltjes(FracRamp(g), FracCurve(uniform(-1e308, 1e308).payload)) == mass
-    assert abs(Fraction(got) - mass) <= Fraction(math.ulp(1.0))
+@pytest.mark.parametrize("reach, ends, integral", [
+    (1e308, (1.0, 0.5), 1.5e308),
+    (1e308, (1.0, -1.0), 0.0),
+    (0.75e308, (1.0, 0.5), 1.125e308),
+    (0.75e308, (-0.5, -1.0), -1.125e308),
+], ids=["positive", "symmetric", "product", "negative-product"])
+def test_a_ramp_wider_than_the_float_range(reach, ends, integral):
+    # the products: the width is finite, the width times the sum of the ends is not
+    g = Ramp([(-reach, ends[0]), (reach, ends[1])])
+    assert g.integral(-reach, reach) == integral
+    assert integral == float(FracRamp(g).integral(Fraction(-reach), Fraction(reach)))
+    c = uniform(-reach, reach).payload
+    mass = frac_stieltjes(FracRamp(g), FracCurve(c))
+    assert mass == Fraction(sum(ends)) / 2
+    assert abs(Fraction(stieltjes(g, c)) - mass) <= Fraction(math.ulp(1.0))
 
 
 @given(ramps(), wide_cdfs(), st.none() | st.tuples(st.floats(min_value=-MAX, max_value=MAX),

@@ -1,13 +1,8 @@
-"""The duality-sandwich sweep stops at its first accepted repeated candidate.
+"""``oracles._gamma_truncations`` stops early with the full sweep's result.
 
-``oracles._gamma_truncations`` builds the truncations of a family member at
--1, -2, ..., -50 one at a time.  Left of the first breakpoint of the member
-and of the test function, the truncations differ only in where their atom
-sits and all integrate to the same float, so the sweep returns after the
-first of them that the risk accepts.  It must return what
-``gamma_bruteforce`` returns over all fifty, or raise what it raises, under
-the true risk and under the skew of ``test_fork.py``, on trials drawn as the
-suite draws them.
+It must return what ``gamma_bruteforce`` returns over all fifty truncations,
+or raise what it raises, under the true risk and under the skew of
+``test_fork.py``, on trials drawn as the suite draws them.
 """
 
 import pytest
