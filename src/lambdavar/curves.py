@@ -49,7 +49,17 @@ def _clip01(y):
     raise ValueError(f"value {y} outside [0, 1]")
 
 
+def _slope(xa, ya, xb, yb):
+    # the one slope rule; a span wider than the float range is halved
+    dx = xb - xa
+    if dx - dx == 0.0:
+        return (yb - ya) / dx
+    return (yb - ya) / (xb / 2 - xa / 2) / 2
+
+
 def _collinear(xa, ya, xb, yb, xc, yc):
+    if xc - xa == math.inf:  # halved, no span is inf, so no 0 * inf is NaN
+        xa, xb, xc = xa / 2, xb / 2, xc / 2
     return (yb - ya) * (xc - xb) == (yc - yb) * (xb - xa)
 
 
@@ -265,7 +275,12 @@ class _LazyRC(MonotoneRC):
             d.pop("_samples", None)
         object.__setattr__(self, "__class__", MonotoneRC)
 
-    # repr and hash read xs, which completes the curve; == completes it first
+    # hash reads xs, which completes the curve.  repr and == complete it
+    # first: another thread may have built xs but not yet swapped the class.
+    def __repr__(self):
+        _LazyRC._complete(self)
+        return repr(self)
+
     def __eq__(self, other):
         _LazyRC._complete(self)
         return self == other
@@ -438,10 +453,9 @@ def _crossing_point(f: MonotoneRC, g: MonotoneRC, prev: float, x: float):
     elif gp[0] == "c" and fp[0] == "a":
         xc = _solve_level(fp[1], gp[1])
     elif fp[0] == "a" and gp[0] == "a":
-        xaf, yaf, xbf, ybf = fp[1]
-        xag, yag, xbg, ybg = gp[1]
-        sf = (ybf - yaf) / (xbf - xaf)
-        sg = (ybg - yag) / (xbg - xag)
+        xaf, yaf, _, _ = fp[1]
+        xag, yag, _, _ = gp[1]
+        sf, sg = _slope(*fp[1]), _slope(*gp[1])
         if sf == sg:
             # parallel pieces: the strict exceedance was detected only at the
             # right end, so the infimum sits there
@@ -453,17 +467,8 @@ def _crossing_point(f: MonotoneRC, g: MonotoneRC, prev: float, x: float):
 
 
 def pointwise_leq(f: MonotoneRC, g: MonotoneRC) -> bool:
-    """Exact test of f(x) <= g(x) for all real x.
-
-    Both curves are affine between merged breakpoints, so tails plus values
-    and left limits at merged breakpoints decide the comparison.
-    """
-    if f.tail_left > g.tail_left or f.tail_right > g.tail_right:
-        return False
-    for _, fl, fv, gl, gv in _walk(f, g):
-        if fl > gl or fv > gv:
-            return False
-    return True
+    """Exact test of f(x) <= g(x) for all real x: no x where f exceeds g."""
+    return first_above(f, g) is None
 
 
 def first_above(f: MonotoneRC, g: MonotoneRC):
@@ -477,7 +482,7 @@ def first_above(f: MonotoneRC, g: MonotoneRC):
         return -math.inf
     prev = None
     for x, fl, fv, gl, gv in _walk(f, g):
-        if prev is not None and fl > gl:
+        if fl > gl:  # never at the first point, whose left limits are the tails
             return _crossing_point(f, g, prev, x)
         if fv > gv:
             return x

@@ -16,7 +16,7 @@ import math
 import operator
 
 from .curves import (
-    Cdf, MonotoneRC, _drop_collinear, _interp, _Record, _solve_level, _value, uniform
+    Cdf, MonotoneRC, _drop_collinear, _interp, _Record, _slope, _solve_level, _value, uniform
 )
 from .exceptions import BracketError, DualRangeError
 from .profiles import LossProfile
@@ -198,12 +198,7 @@ def stieltjes(g, f: MonotoneRC, a: float = -math.inf, b: float = math.inf) -> fl
         u = max(xa, lo)
         v_ = min(xb, hi)
         if u < v_:
-            span = xb - xa
-            if span - span == 0.0:
-                slope = (lb - va) / span
-            else:  # a span wider than the float range, halved
-                slope = (lb - va) / (xb / 2 - xa / 2) / 2
-            total += slope * g.integral(u, v_)
+            total += _slope(xa, va, xb, lb) * g.integral(u, v_)
     if tails:
         if a < lo:
             f_a = f.tail_left if a == -math.inf else f(a)

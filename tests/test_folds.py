@@ -4,16 +4,19 @@
 expression with the axes swapped, and a span wider than the float range is
 halved before it is used.  On finite spans both keep the floats of the two
 expressions they replaced, copied here as oracles; on spans that overflow
-they agree with the exact ``Fraction`` reference, and so do ``stieltjes`` and
-``TestFunction.integral``.
+they agree with the exact ``Fraction`` reference, and so do ``stieltjes``,
+``TestFunction.integral`` and ``first_above``, whose slopes take ``_slope``'s
+halving.  ``pointwise_leq`` is ``first_above`` finding nothing, and answers
+as the loop it replaced did.
 ``_check_monotone`` judges the chain of levels in one pass and names the
 error the loop it replaced named.  A lazy curve may be completed by several
-threads at once.
+threads at once, and ``repr`` names the completed class mid-swap.
 The wide-span commands and the two check seeds that changed are pinned
 through ``main``.
 """
 
 import bisect
+import itertools
 import json
 import math
 import random
@@ -22,12 +25,14 @@ import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lambdavar import mixture, piecewise_cdf, stieltjes, uniform
+from lambdavar import first_above, from_samples, mixture, piecewise_cdf, stieltjes, uniform
 from lambdavar import TestFunction as Ramp
-from lambdavar.curves import MonotoneRC, _interp, _solve_level
+from lambdavar.curves import (
+    MonotoneRC, _interp, _solve_level, _walk, pointwise_leq, truncate_left
+)
 from test_cli import run_cli, run_report, write
 from test_exact_reference import FracCurve, FracRamp, frac_stieltjes
 from test_package import python
@@ -141,6 +146,78 @@ def test_quantile_on_an_overflowed_span_matches_the_reference(f, u):
     assert within_8_ulps(f.quantile_right(u), exact_quantile(c, u), ends)
 
 
+def stretch(fc, gc, x):
+    """The merged breakpoints a <= x < b of the ``FracCurve`` fc and gc, and
+    the change of f - g across (a, b), where both are affine."""
+    xs = sorted({p[0] for p in fc.points} | {p[0] for p in gc.points})
+    i = bisect.bisect_right(xs, x)
+    a, b = xs[i - 1], xs[i]
+    m, q = (a + b) / 2, (a + 3 * b) / 4
+    rise = (fc.value(q) - gc.value(q)) - (fc.value(m) - gc.value(m))
+    return a, b, rise * (b - a) / (q - m)
+
+
+@given(wide_cdfs(), wide_cdfs())
+def test_first_above_on_overflowed_spans_matches_the_reference(f, g):
+    f, g = f.payload, g.payload
+    fc, gc = FracCurve(f), FracCurve(g)
+    got, want = first_above(f, g), fc.first_above(gc)
+    assert pointwise_leq(f, g) is fc.leq(gc) is (want is None)
+    if want is None:
+        assert got is None
+    elif fc.value(want) > gc.value(want):  # at a breakpoint
+        assert got == want
+    else:  # a crossing, in the reference's stretch
+        a, b, delta = stretch(fc, gc, want)
+        assert a <= got <= b
+        if b - a > MAX:
+            # on the piece wider than the float range, where the slopes are
+            # halved: within 8 units of the crossing's condition number
+            # 2**-52 * w / |delta|, for the stretch's width w
+            assert abs(Fraction(got) - want) <= 8 * (b - a) / abs(delta) / 2 ** 52
+
+
+def pointwise_leq_before(f, g):
+    # the loop ``pointwise_leq`` ran before it became ``first_above(f, g) is None``
+    if f.tail_left > g.tail_left or f.tail_right > g.tail_right:
+        return False
+    for _, fl, fv, gl, gv in _walk(f, g):
+        if fl > gl or fv > gv:
+            return False
+    return True
+
+
+def completed(c):
+    c.xs  # the read completes a lazy curve
+    return c
+
+
+@settings(max_examples=16)  # each read of a lazy curve builds it anew
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, MAX / 4]),
+       st.sampled_from(["same", "right", "left", "both"]), wide_cdfs(), wide_cdfs())
+def test_pointwise_leq_answers_as_its_loop_did(seed, scale, moves, v, w):
+    # the empirical curves of xs and of xs with some samples moved, and two
+    # with a piece wider than the float range: the loop on completed curves
+    # answers, and pointwise_leq must agree on lazy and completed ones
+    rng = random.Random(seed)
+    xs = [rng.uniform(-scale, scale) for _ in range(1024)]
+    steps = {"same": [0.0], "right": [0.0, 1.0], "left": [-1.0, 0.0], "both": [-1.0, 1.0]}
+    ys = [x + rng.choice(steps[moves]) * scale / 64 for x in xs]
+    lazy = {"p": lambda: from_samples(xs).payload, "q": lambda: from_samples(ys).payload}
+    done = {"p": completed(lazy["p"]()), "q": completed(lazy["q"]()),
+            "v": v.payload, "w": w.payload}
+
+    def reads(name):
+        yield lambda: done[name]
+        if name in lazy:
+            yield lazy[name]
+
+    for a, b in itertools.permutations(done, 2):
+        want = pointwise_leq_before(done[a], done[b])
+        for f, g in itertools.product(reads(a), reads(b)):
+            assert pointwise_leq(f(), g()) is want
+
+
 @st.composite
 def ramps(draw):
     """A test function with nodes in [-MAX/4, MAX/4] and values in [-1, 1], so
@@ -222,6 +299,14 @@ def test_stieltjes_on_an_overflowed_span_matches_the_reference(g, f, window):
     else:
         got, want = stieltjes(g, c), frac_stieltjes(FracRamp(g), FracCurve(c))
     assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 13)
+
+
+def test_a_flat_stretch_wider_than_the_float_range_is_canonical():
+    # the breakpoint at 1e308 is redundant: no 0 * inf may make its test NaN
+    law = [(-1e308, 0.0, 0.5), (1e308, 0.5, 0.5), (1.5e308, 0.5, 1.0)]
+    assert piecewise_cdf(law) == piecewise_cdf([law[0], law[2]])
+    cut = truncate_left(piecewise_cdf(law).payload, -0.9e308)
+    assert cut == piecewise_cdf([(-0.9e308, 0.0, 0.5), law[2]])
 
 
 # ---------- orientation in one pass ----------
@@ -311,6 +396,48 @@ def test_threads_complete_one_lazy_curve(tmp_path):
     assert (run.returncode, run.stdout, run.stderr) == (0, "0 []\n", "")
 
 
+# pauses the completing thread just before it swaps the class, with the
+# columns in place, and reads repr from the main thread
+SWAP = textwrap.dedent("""
+    import inspect, sys, threading
+    from lambdavar.curves import _LazyRC, from_samples
+
+    lines, start = inspect.getsourcelines(_LazyRC._complete)
+    swap = start + next(i for i, line in enumerate(lines) if '"__class__"' in line)
+    paused, resume = threading.Event(), threading.Event()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not _LazyRC._complete.__code__:
+            return None
+
+        def line(frame, event, arg):
+            if event == "line" and frame.f_lineno == swap:
+                paused.set()
+                resume.wait(60)
+            return line
+        return line
+
+    curve = from_samples([float(k % 997) for k in range(2048)]).payload
+
+    def complete():
+        sys.settrace(trace)
+        curve.xs
+
+    thread = threading.Thread(target=complete)
+    thread.start()
+    assert paused.wait(60)
+    print(repr(curve).split("(")[0])
+    resume.set()
+    thread.join(60)
+    assert not thread.is_alive()
+""")
+
+
+def test_repr_names_the_completed_class_mid_swap(tmp_path):
+    run = python(tmp_path, "-c", SWAP)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "MonotoneRC\n", "")
+
+
 # ---------- what changed, through main ----------
 
 
@@ -333,6 +460,26 @@ def test_lambda_var_on_an_overflowed_span(capsys, tmp_path, data, profile, value
                         "--profile", prof)
     assert repr(report["value"]) == value
     assert repr(report["diagnostics"]["violation_point"]) == "-" + value
+
+
+RISING = {"type": "piecewise", "points": [[-1e308, 0.2, 0.2], [1e308, 0.6, 0.6]],
+          "tails": [0.2, 0.6], "orientation": "nondecreasing"}
+
+
+@pytest.mark.parametrize("reach, value, ulps", [
+    (1e308, "3.3333333333333337e+307", 1),  # two sloped pieces wider than the float range
+    (1e307, "2.0833333333333348e+306", 4),  # one of them
+])
+def test_lambda_var_at_a_crossing_of_overflowed_spans(capsys, tmp_path, reach, value, ulps):
+    u = {"type": "uniform", "a": -reach, "b": reach}
+    d = write(tmp_path, "u.json", json.dumps(u))
+    prof = write(tmp_path, "prof.json", json.dumps(RISING))
+    report = run_report(capsys, "compute", "--data", d, "--measure", "lambda-var",
+                        "--profile", prof)
+    assert repr(report["value"]) == value
+    lam = MonotoneRC(RISING["points"], *RISING["tails"])
+    nearest = -float(FracCurve(uniform(-reach, reach).payload).first_above(FracCurve(lam)))
+    assert abs(report["value"] - nearest) == ulps * math.ulp(nearest)
 
 
 @pytest.mark.parametrize("argv, value", [
