@@ -57,6 +57,33 @@ def _slope(xa, ya, xb, yb):
     return (yb - ya) / (xb / 2 - xa / 2) / 2
 
 
+def _midpoint(lo, hi):
+    """(lo + hi) / 2, halved first where lo + hi leaves the float range."""
+    mid = 0.5 * (lo + hi)
+    return mid if math.isfinite(mid) else lo / 2 + hi / 2
+
+
+def _bisect(lo, hi, below, tol=0.0):
+    """The bracket [lo, hi] halved toward the boundary of a monotone predicate:
+    lo moves to each midpoint where ``below`` holds, hi to the others.
+
+    The one bisection rule.  It stops at the first of: a width at most tol, a
+    midpoint that is not strictly inside (adjacent floats), or 200 halvings.
+    Callers check first that ``below`` holds at lo and fails at hi.
+    """
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = _midpoint(lo, hi)
+        if not lo < mid < hi:
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def _collinear(xa, ya, xb, yb, xc, yc):
     if xc - xa == math.inf:  # halved, no span is inf, so no 0 * inf is NaN
         xa, xb, xc = xa / 2, xb / 2, xc / 2

@@ -16,7 +16,8 @@ import math
 import operator
 
 from .curves import (
-    Cdf, MonotoneRC, _drop_collinear, _interp, _Record, _slope, _solve_level, _value, uniform
+    Cdf, MonotoneRC, _bisect, _drop_collinear, _interp, _Record, _slope, _solve_level, _value,
+    uniform,
 )
 from .exceptions import BracketError, DualRangeError
 from .profiles import LossProfile
@@ -222,17 +223,14 @@ def _profile_pieces(f: TestFunction, lam: MonotoneRC):
     inner = sorted(set(fx) | set(lam.xs[lo:hi]))
     pieces = []
     for p, q in zip(inner, inner[1:]):
-        slope = (f(q) - f(p)) / (q - p)
-        pieces.append((p, q, slope, lam(p), lam.left_limit(q)))
+        pieces.append((p, q, _slope(p, f(p), q, f(q)), lam(p), lam.left_limit(q)))
     return pieces
 
 
 def gamma_increasing(m: float, f: TestFunction, profile: LossProfile) -> float:
     """gamma for a feasible nondecreasing profile:
     f(-inf) plus the integral of (1 - profile) df up to -m."""
-    profile.require_feasible()
-    if not profile.is_nondecreasing:
-        raise ValueError("requires a nondecreasing profile")
+    _require_gamma(profile, True)
     return _gamma_from_pieces(m, f, _profile_pieces(f, profile.curve))
 
 
@@ -253,15 +251,20 @@ def _gamma_from_pieces(m: float, f: TestFunction, pieces) -> float:
 def gamma_decreasing(m: float, f: TestFunction, profile: LossProfile) -> float:
     """gamma for a continuous nonincreasing profile, via the flat-level family:
     weights f(-m) and f(-inf) by the profile level at -m."""
-    _require_flat_gamma(profile)
+    _require_gamma(profile, False)
     return _gamma_flat(m, f, profile)
 
 
-def _require_flat_gamma(profile: LossProfile):
+def _require_gamma(profile: LossProfile, increasing: bool):
+    """What gamma asks of a profile: feasible, and nondecreasing if
+    ``increasing``, else nonincreasing and continuous."""
     profile.require_feasible()
-    if not profile.is_nonincreasing:
+    if increasing:
+        if not profile.is_nondecreasing:
+            raise ValueError("requires a nondecreasing profile")
+    elif not profile.is_nonincreasing:
         raise ValueError("requires a nonincreasing profile")
-    if not profile.is_continuous:
+    elif not profile.is_continuous:
         raise ValueError("requires a continuous profile")
 
 
@@ -279,10 +282,9 @@ def profile_gamma(profile: LossProfile):
     bisection in ``risk_lower_bound_from_gamma`` asks for many levels m with
     one f.
     """
+    _require_gamma(profile, profile.is_nondecreasing)
     if not profile.is_nondecreasing:
-        _require_flat_gamma(profile)
         return lambda m, f: _gamma_flat(m, f, profile)
-    profile.require_feasible()
     cache = [None, None]  # the last f, and its pieces
 
     def gamma(m, f):
@@ -299,9 +301,10 @@ def profile_gamma(profile: LossProfile):
 def risk_lower_bound_from_gamma(t: float, f: TestFunction, gamma_fn, tol: float = 1e-9) -> float:
     """inf{m : gamma(m) >= t} by bisection of a nondecreasing gamma.
 
-    The bracket is [-x_k - 1, -x_1 + 1] for f's nodes x_1 < ... < x_k.
-    Returns the level from below (never overshoots the infimum), so the
-    result is always a valid lower bound for the matched risk.  An empty
+    The bracket is [-x_k - 1, -x_1 + 1] for f's nodes x_1 < ... < x_k, and
+    it is halved down to tol or to adjacent floats.  Returns the level from
+    below (never overshoots the infimum), so the result is always a valid
+    lower bound for the matched risk.  An empty
     level set -- t above anything gamma can reach -- yields +inf.  Gamma
     never falls below f(+inf), so for t at or below it the level set is the
     whole line and no bracket holds its infimum.
@@ -315,15 +318,19 @@ def risk_lower_bound_from_gamma(t: float, f: TestFunction, gamma_fn, tol: float 
         raise BracketError("widen search bracket")
     if gamma_fn(lo) >= t:
         raise BracketError("widen search bracket")
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if gamma_fn(mid) >= t:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    return _bisect(lo, hi, lambda m: gamma_fn(m) < t, tol)[0]
+
+
+def _bound_or_reason(t: float, f: TestFunction, gamma, tol: float):
+    """(bound, None) for a test function that bounds the risk at integral t,
+    else (None, reason): "bracket", "range" or "inf" (bound +inf)."""
+    try:
+        bound = risk_lower_bound_from_gamma(t, f, lambda m: gamma(m, f), tol=tol)
+    except BracketError:
+        return None, "bracket"
+    except DualRangeError:
+        return None, "range"
+    return (None, "inf") if bound == math.inf else (bound, None)
 
 
 class DualBoundReport(_Record):
@@ -366,27 +373,15 @@ def representation_bound(
     phi = risk(p)
     best = None
     best_i = -1
-    informative = 0
     skipped = {"bracket": 0, "range": 0, "inf": 0}
     for i, f in enumerate(fs):
-        t = stieltjes(f, p.payload)
-        try:
-            bound = risk_lower_bound_from_gamma(
-                t, f, lambda m: gamma(m, f), tol=tol
-            )
-        except BracketError:
-            skipped["bracket"] += 1
-            continue
-        except DualRangeError:
-            skipped["range"] += 1
-            continue
-        if math.isinf(bound):
-            skipped["inf"] += 1
-            continue
-        informative += 1
-        if best is None or bound > best:
+        bound, reason = _bound_or_reason(stieltjes(f, p.payload), f, gamma, tol)
+        if reason is not None:
+            skipped[reason] += 1
+        elif best is None or bound > best:
             best = bound
             best_i = i
     if best is None:
         raise BracketError("no informative test function in the family")
+    informative = len(fs) - sum(skipped.values())
     return DualBoundReport(phi, best, phi - best, best_i, informative, skipped)

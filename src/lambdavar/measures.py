@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .curves import Cdf, _Record, first_above
+from .curves import Cdf, _bisect, _midpoint, _Record, first_above
 from .exceptions import InfeasibleProfileError
 from .profiles import LossProfile
 
@@ -98,24 +98,10 @@ def certainty_equivalent(p: Cdf, f) -> float:
         grow += 1
         if grow > 200:
             raise ValueError("not invertible at integral value")
-    for _ in range(200):
-        mid = _midpoint(lo, hi)
-        if not lo < mid < hi:
-            break
-        if f(mid) >= integral:
-            lo = mid
-        else:
-            hi = mid
-    value = -_midpoint(lo, hi)
+    value = -_midpoint(*_bisect(lo, hi, lambda x: f(x) >= integral))
     if not math.isfinite(value):
         raise ValueError("certainty equivalent overflows the float range")
     return value
-
-
-def _midpoint(lo: float, hi: float) -> float:
-    """(lo + hi) / 2, halved first where lo + hi leaves the float range."""
-    mid = 0.5 * (lo + hi)
-    return mid if math.isfinite(mid) else lo / 2 + hi / 2
 
 
 def entropic(p: Cdf) -> float:

@@ -13,12 +13,13 @@ with the same result.
 from __future__ import annotations
 
 import math
+import sys
 
 from .curves import (
-    NONDECREASING, Cdf, MonotoneRC, _crossing_point, _Record, _walk, dirac, pointwise_leq,
-    truncate_left,
+    NONDECREASING, Cdf, MonotoneRC, _bisect, _crossing_point, _midpoint, _Record, _walk, dirac,
+    pointwise_leq, truncate_left,
 )
-from .dual import TestFunction, _profile_pieces, stieltjes
+from .dual import TestFunction, _profile_pieces, _require_gamma, stieltjes
 from .exceptions import BracketError, DualRangeError
 from .measures import RiskReport, lambda_var
 from .profiles import LossProfile, family_member
@@ -126,11 +127,11 @@ def risk_from_family(
 
     The generic oracle for every profile-based measure: needs only the
     family's membership test, which is exact.  The default bracket is ten
-    times the support hull, padded by one.
+    times the support hull, padded by one, and no wider than the float range.
     """
     if m_lo is None or m_hi is None:
         scale = max(abs(p.support_lower), abs(p.support_upper))
-        width = (1.0 + scale) * 10.0
+        width = min((1.0 + scale) * 10.0, sys.float_info.max)
         if m_lo is None:
             m_lo = -width
         if m_hi is None:
@@ -141,16 +142,7 @@ def risk_from_family(
         raise BracketError("widen search bracket")
     if family.contains(m_hi, p):
         raise BracketError("widen search bracket")
-    lo, hi = m_lo, m_hi
-    for _ in range(200):
-        if hi - lo <= 0.5 * tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if family.contains(mid, p):
-            lo = mid
-        else:
-            hi = mid
-    return -0.5 * (lo + hi)
+    return -_midpoint(*_bisect(m_lo, m_hi, lambda m: family.contains(m, p), 0.5 * tol))
 
 
 def lambda_var_flat(p: Cdf, profile: LossProfile) -> RiskReport:
@@ -161,11 +153,7 @@ def lambda_var_flat(p: Cdf, profile: LossProfile) -> RiskReport:
     scan compares the left limit of F_P against the profile value level by
     level.
     """
-    profile.require_feasible()
-    if not profile.is_nonincreasing:
-        raise ValueError("flat family requires a nonincreasing profile")
-    if not profile.is_continuous:
-        raise ValueError("flat family requires a continuous profile")
+    _require_gamma(profile, False)
     f = p.payload
     lam = profile.curve
     if f.tail_left > lam.tail_left:
@@ -274,9 +262,7 @@ def risk_lower_bound(t: float, f: TestFunction, profile: LossProfile) -> float:
     since df <= 0), applies the nonincreasing left inverse at t - f(-inf) and
     negates.  Returns +inf when the level set is the whole line.
     """
-    profile.require_feasible()
-    if not profile.is_nondecreasing:
-        raise ValueError("requires a nondecreasing profile")
+    _require_gamma(profile, True)
     y = t - f.limit_left
     pieces = _profile_pieces(f, profile.curve)
     h_total = sum(
