@@ -58,39 +58,34 @@ def random_dominated_pair(rng):
     return p, q
 
 
+def _dyadic_profile(rng, k, stride, offset, orientation, cap) -> LossProfile:
+    """Profile on k dyadic nodes over one sorted chain of levels, reversed for
+    a nonincreasing profile: node i runs from chain[stride * i] to
+    chain[stride * i + offset]."""
+    xs = sorted(rng.sample(range(-8 * GRAIN, 8 * GRAIN), k))
+    chain = sorted(rng.randint(0, cap) / GRAIN for _ in range(stride * (k - 1) + offset + 1))
+    if orientation == curves.NONINCREASING:
+        chain = chain[::-1]
+    pts = [(x / GRAIN, chain[stride * i], chain[stride * i + offset]) for i, x in enumerate(xs)]
+    return piecewise_profile(pts, (chain[0], chain[-1]), orientation)
+
+
 def random_step_stack(rng, orientation=curves.NONDECREASING, jumps=4, cap=60) -> LossProfile:
     """Piecewise-constant profile with dyadic levels strictly below 1."""
     k = rng.randint(0, jumps)
     if k == 0:
         return constant_profile(rng.randint(0, cap) / GRAIN)
-    xs = sorted(rng.sample(range(-8 * GRAIN, 8 * GRAIN), k))
-    levels = sorted(rng.randint(0, cap) / GRAIN for _ in range(k + 1))
-    if orientation == curves.NONINCREASING:
-        levels = levels[::-1]
-    pts = [(x / GRAIN, levels[i], levels[i + 1]) for i, x in enumerate(xs)]
-    return piecewise_profile(pts, (levels[0], levels[-1]), orientation)
+    return _dyadic_profile(rng, k, 1, 1, orientation, cap)
 
 
 def random_ramp_profile(rng, orientation=curves.NONDECREASING, cap=60) -> LossProfile:
     """Continuous piecewise-linear profile with dyadic nodes."""
-    k = rng.randint(2, 5)
-    xs = sorted(rng.sample(range(-8 * GRAIN, 8 * GRAIN), k))
-    levels = sorted(rng.randint(0, cap) / GRAIN for _ in range(k))
-    if orientation == curves.NONINCREASING:
-        levels = levels[::-1]
-    pts = [(x / GRAIN, levels[i], levels[i]) for i, x in enumerate(xs)]
-    return piecewise_profile(pts, (levels[0], levels[-1]), orientation)
+    return _dyadic_profile(rng, rng.randint(2, 5), 1, 0, orientation, cap)
 
 
 def random_mixed_profile(rng, orientation=curves.NONDECREASING, cap=60) -> LossProfile:
     """Profile mixing jumps and ramps: monotone level chain split over nodes."""
-    k = rng.randint(1, 5)
-    xs = sorted(rng.sample(range(-8 * GRAIN, 8 * GRAIN), k))
-    chain = sorted(rng.randint(0, cap) / GRAIN for _ in range(2 * k))
-    if orientation == curves.NONINCREASING:
-        chain = chain[::-1]
-    pts = [(x / GRAIN, chain[2 * i], chain[2 * i + 1]) for i, x in enumerate(xs)]
-    return piecewise_profile(pts, (chain[0], chain[-1]), orientation)
+    return _dyadic_profile(rng, rng.randint(1, 5), 2, 1, orientation, cap)
 
 
 def random_profile(rng) -> LossProfile:
@@ -231,14 +226,11 @@ def suite_cfa(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
         if rng.random() < 0.5:
             prof = constant_profile(rng.randint(0, 40) / GRAIN)
         else:
-            prof = None
             for _ in range(50):
-                cand = random_step_stack(rng)
-                report = lambda_var(p, cand)
-                if report.violation_point - p.support_lower > 0.03:
-                    prof = cand
+                prof = random_step_stack(rng)
+                if lambda_var(p, prof).violation_point - p.support_lower > 0.03:
                     break
-            if prof is None:
+            else:
                 prof = constant_profile(rng.randint(0, 40) / GRAIN)
         cases.append((p, prof))
 

@@ -24,7 +24,9 @@ import stat
 import sys
 
 from ._fork import chunk_count, leave, map_chunks
-from .curves import Cdf, _from_floats, dirac, from_samples, mixture, piecewise_cdf, uniform
+from .curves import (
+    Cdf, _from_floats, _interp, dirac, from_samples, mixture, piecewise_cdf, uniform,
+)
 from .exceptions import BracketError, DualRangeError, InfeasibleProfileError
 from .measures import (
     certainty_equivalent,
@@ -134,11 +136,15 @@ def _read_regular(fd: int, digest=None):
 def _hash_upto(fd: int, size: int, digest) -> None:
     """Feed digest the first size bytes of the file, a block at a time."""
     for pos in range(0, size, _BLOCK_BYTES):
-        want = min(_BLOCK_BYTES, size - pos)
-        block = os.pread(fd, want, pos)
-        if len(block) < want:
-            raise ValueError("the file shrank")
-        digest.update(block)
+        digest.update(_pread(fd, min(_BLOCK_BYTES, size - pos), pos))
+
+
+def _pread(fd: int, want: int, pos: int) -> bytes:
+    """Exactly want bytes of the file from pos; ValueError if it has shrunk."""
+    block = os.pread(fd, want, pos)
+    if len(block) < want:
+        raise ValueError("the file shrank")
+    return block
 
 
 def _line_start(fd: int, pos: int) -> int:
@@ -162,10 +168,7 @@ def _parse_range(fd: int, start: int, end: int) -> list:
     pos = start
     while pos < end:
         want = min(_BLOCK_BYTES, end - pos)
-        block = os.pread(fd, want, pos)
-        if len(block) < want:
-            raise ValueError("the file shrank")
-        pieces = block.split(b"\n")
+        pieces = _pread(fd, want, pos).split(b"\n")
         if pos + want < end:  # stop at the last newline; the next block starts there
             if len(pieces) == 1:
                 raise ValueError("a line longer than a block")
@@ -482,9 +485,12 @@ def render_plot(p: Cdf, profile: LossProfile, x_star: float) -> str:
     pad = 0.15 * max(1.0, x_hi - x_lo)
     x_lo -= pad
     x_hi += pad
+    h = 1.0  # a padded span wider than the float range: clamp it, scale on halves
+    if x_hi - x_lo == math.inf:
+        x_lo, x_hi, h = max(x_lo, -sys.float_info.max), min(x_hi, sys.float_info.max), 2.0
 
     def sx(x):
-        return mx + (x - x_lo) / (x_hi - x_lo) * (width - 2 * mx)
+        return mx + (x / h - x_lo / h) / (x_hi / h - x_lo / h) * (width - 2 * mx)
 
     def sy(y):
         return height - my - y * (height - 2 * my)
@@ -504,7 +510,7 @@ def render_plot(p: Cdf, profile: LossProfile, x_star: float) -> str:
         f'<line x1="{mx}" y1="{sy(0)}" x2="{mx}" y2="{sy(1)}" stroke="black"/>',
     ]
     for frac in (0.0, 0.5, 1.0):
-        xv = x_lo + frac * (x_hi - x_lo)
+        xv = _interp(0.0, x_lo, 1.0, x_hi, frac)
         parts.append(
             f'<text x="{sx(xv):.2f}" y="{sy(0) + 20:.2f}" font-size="12" '
             f'text-anchor="middle">{xv:.3g}</text>'

@@ -220,11 +220,7 @@ class MonotoneRC(_Record):
 
     def jump(self, x: float) -> float:
         """The jump at x; NaN is an error."""
-        i = bisect.bisect_left(self.xs, x)
-        if i < len(self.xs) and self.xs[i] == x:
-            return self.values[i] - self.lefts[i]
-        _reject_nan(x)
-        return 0.0
+        return self(x) - self.left_limit(x)
 
     # ---------- summaries ----------
 

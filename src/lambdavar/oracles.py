@@ -16,8 +16,8 @@ import math
 import sys
 
 from .curves import (
-    NONDECREASING, Cdf, MonotoneRC, _bisect, _crossing_point, _midpoint, _Record, _walk, dirac,
-    pointwise_leq, truncate_left,
+    NONDECREASING, Cdf, MonotoneRC, _bisect, _crossing_point, _interp, _midpoint, _Record, _walk,
+    dirac, pointwise_leq, truncate_left,
 )
 from .dual import TestFunction, _profile_pieces, _require_gamma, stieltjes
 from .exceptions import BracketError, DualRangeError
@@ -265,31 +265,21 @@ def risk_lower_bound(t: float, f: TestFunction, profile: LossProfile) -> float:
     _require_gamma(profile, True)
     y = t - f.limit_left
     pieces = _profile_pieces(f, profile.curve)
-    h_total = sum(
-        s * (q - p) * (1.0 - (c0 + c1) / 2.0) for p, q, s, c0, c1 in pieces
-    )
-    if y > 0.0 or y < h_total:
+    dhs = [s * (q - p) * (1.0 - (c0 + c1) / 2.0) for p, q, s, c0, c1 in pieces]
+    if y > 0.0 or y < sum(dhs):
         raise DualRangeError("dual variable out of range")
     if y == 0.0:
         return math.inf
     h_p = 0.0
-    for p, q, s, c0, c1 in pieces:
-        dh = s * (q - p) * (1.0 - (c0 + c1) / 2.0)
+    for (p, q, s, c0, c1), dh in zip(pieces, dhs):
         h_q = h_p + dh
         if h_q <= y:
-            lo_w, hi_w = 0.0, q - p
 
             def h_at(w):
-                cw = c0 + w * (c1 - c0) / (q - p)
+                cw = _interp(0.0, c0, q - p, c1, w)
                 return h_p + s * w * (1.0 - (c0 + cw) / 2.0)
 
-            for _ in range(100):
-                mid = 0.5 * (lo_w + hi_w)
-                if h_at(mid) <= y:
-                    hi_w = mid
-                else:
-                    lo_w = mid
-            return -(p + hi_w)
+            return -(p + _bisect(0.0, q - p, lambda w: h_at(w) > y)[1])
         h_p = h_q
     raise AssertionError("dual variable inside range but never bracketed")
 

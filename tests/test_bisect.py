@@ -9,8 +9,14 @@ the dual bound and the oracle only spun without moving, since each checks
 first that the predicate holds at lo and fails at hi.  Where the old
 midpoint overflowed, the pinned probes below show what ``duality`` and
 ``risk_from_family`` answer now.
+
+The reference dual bound ``oracles.risk_lower_bound`` halved in a fixed
+100-step loop of its own, and the three check-profile generators and
+``MonotoneRC.jump`` each wrote out a rule that now has one home; the old
+bodies are copied at the end as oracles too.
 """
 
+import bisect
 import math
 import random
 import sys
@@ -20,13 +26,20 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lambdavar import (
-    AcceptanceFamily, constant_profile, from_samples, lambda_var, profile_gamma, ramp_ladder,
-    representation_bound, risk_from_family, risk_lower_bound_from_gamma, step_profile,
-    stieltjes, uniform,
+    NONDECREASING, NONINCREASING, AcceptanceFamily, MonotoneRC, constant_profile, from_samples,
+    lambda_var, piecewise_profile, profile_gamma, ramp_ladder, representation_bound,
+    risk_from_family, risk_lower_bound, risk_lower_bound_from_gamma, step_profile, stieltjes,
+    uniform,
 )
-from lambdavar.curves import _bisect, _midpoint
-from lambdavar.exceptions import BracketError
+from lambdavar.checks import (
+    GRAIN, random_empirical, random_mixed_profile, random_profile, random_ramp_profile,
+    random_step_stack, random_test_function,
+)
+from lambdavar.curves import _bisect, _midpoint, _reject_nan
+from lambdavar.dual import _profile_pieces, _require_gamma
+from lambdavar.exceptions import BracketError, DualRangeError
 from test_cli import run_report, write
+from test_function_core import outcome
 
 MAX = sys.float_info.max
 
@@ -259,3 +272,164 @@ def test_family_oracle_near_the_float_range(a, b, want):
     assert lambda_var(p, prof).value == want
     assert risk_from_family(p, family) == want
     assert risk_from_family(p, family, -MAX, MAX) == want
+
+
+# ---------- the reference dual bound, the check profiles and the jump ----------
+
+
+def old_risk_lower_bound(t, f, profile):
+    """oracles.risk_lower_bound with its fixed 100-step loop."""
+    _require_gamma(profile, True)
+    y = t - f.limit_left
+    pieces = _profile_pieces(f, profile.curve)
+    h_total = sum(
+        s * (q - p) * (1.0 - (c0 + c1) / 2.0) for p, q, s, c0, c1 in pieces
+    )
+    if y > 0.0 or y < h_total:
+        raise DualRangeError("dual variable out of range")
+    if y == 0.0:
+        return math.inf
+    h_p = 0.0
+    for p, q, s, c0, c1 in pieces:
+        dh = s * (q - p) * (1.0 - (c0 + c1) / 2.0)
+        h_q = h_p + dh
+        if h_q <= y:
+            lo_w, hi_w = 0.0, q - p
+
+            def h_at(w):
+                cw = c0 + w * (c1 - c0) / (q - p)
+                return h_p + s * w * (1.0 - (c0 + cw) / 2.0)
+
+            for _ in range(100):
+                mid = 0.5 * (lo_w + hi_w)
+                if h_at(mid) <= y:
+                    hi_w = mid
+                else:
+                    lo_w = mid
+            return -(p + hi_w)
+        h_p = h_q
+    raise AssertionError("dual variable inside range but never bracketed")
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+NONDECREASING_DRAWS = [random_step_stack, random_ramp_profile, random_mixed_profile]
+
+
+@given(SEEDS, st.sampled_from(NONDECREASING_DRAWS + [random_profile]), st.floats(0.0, 1.0))
+def test_risk_lower_bound_matches_its_100_step_loop(seed, draw, frac):
+    """Every level of the test function's range and some outside it; a
+    nonincreasing profile from ``random_profile`` raises in both."""
+    rng = random.Random(seed)
+    prof, f, p = draw(rng), random_test_function(rng), random_empirical(rng)
+    lo, hi = f.limit_right, f.limit_left
+    for t in (stieltjes(f, p.payload), lo + frac * (hi - lo), lo, hi, (lo + hi) / 2,
+              math.nextafter(hi, -math.inf), hi + 1.0, lo - 1.0):
+        assert outcome(risk_lower_bound, t, f, prof) == outcome(old_risk_lower_bound, t, f, prof)
+
+
+def old_step_stack(rng, orientation=NONDECREASING, jumps=4, cap=60):
+    k = rng.randint(0, jumps)
+    if k == 0:
+        return constant_profile(rng.randint(0, cap) / GRAIN)
+    xs = sorted(rng.sample(range(-8 * GRAIN, 8 * GRAIN), k))
+    levels = sorted(rng.randint(0, cap) / GRAIN for _ in range(k + 1))
+    if orientation == NONINCREASING:
+        levels = levels[::-1]
+    pts = [(x / GRAIN, levels[i], levels[i + 1]) for i, x in enumerate(xs)]
+    return piecewise_profile(pts, (levels[0], levels[-1]), orientation)
+
+
+def old_ramp_profile(rng, orientation=NONDECREASING, cap=60):
+    k = rng.randint(2, 5)
+    xs = sorted(rng.sample(range(-8 * GRAIN, 8 * GRAIN), k))
+    levels = sorted(rng.randint(0, cap) / GRAIN for _ in range(k))
+    if orientation == NONINCREASING:
+        levels = levels[::-1]
+    pts = [(x / GRAIN, levels[i], levels[i]) for i, x in enumerate(xs)]
+    return piecewise_profile(pts, (levels[0], levels[-1]), orientation)
+
+
+def old_mixed_profile(rng, orientation=NONDECREASING, cap=60):
+    k = rng.randint(1, 5)
+    xs = sorted(rng.sample(range(-8 * GRAIN, 8 * GRAIN), k))
+    chain = sorted(rng.randint(0, cap) / GRAIN for _ in range(2 * k))
+    if orientation == NONINCREASING:
+        chain = chain[::-1]
+    pts = [(x / GRAIN, chain[2 * i], chain[2 * i + 1]) for i, x in enumerate(xs)]
+    return piecewise_profile(pts, (chain[0], chain[-1]), orientation)
+
+
+@given(SEEDS, st.sampled_from([NONDECREASING, NONINCREASING]), st.sampled_from([40, 60]),
+       st.integers(0, 6))
+def test_profile_draws_match_the_three_generators(seed, orientation, cap, jumps):
+    """The same profile from the same rng calls: the rng ends in one state."""
+    pairs = [
+        (lambda r: random_step_stack(r, orientation, jumps, cap),
+         lambda r: old_step_stack(r, orientation, jumps, cap)),
+        (lambda r: random_ramp_profile(r, orientation, cap),
+         lambda r: old_ramp_profile(r, orientation, cap)),
+        (lambda r: random_mixed_profile(r, orientation, cap),
+         lambda r: old_mixed_profile(r, orientation, cap)),
+    ]
+    for new, old in pairs:
+        r_new, r_old = random.Random(seed), random.Random(seed)
+        assert outcome(new, r_new) == outcome(old, r_old)
+        assert r_new.getstate() == r_old.getstate()
+
+
+def old_jump(c, x):
+    i = bisect.bisect_left(c.xs, x)
+    if i < len(c.xs) and c.xs[i] == x:
+        return c.values[i] - c.lefts[i]
+    _reject_nan(x)
+    return 0.0
+
+
+def zero_seam(c):
+    """A tail that meets its end breakpoint's level as the other signed zero."""
+    ends = ((c.tail_left, c.lefts[0]), (c.tail_right, c.values[-1])) if c.xs else ()
+    return any(a == b == 0.0 and math.copysign(1.0, a) != math.copysign(1.0, b) for a, b in ends)
+
+
+def assert_jumps_agree(c, probes):
+    """By ``repr``, except for the sign of a zero jump at a zero seam: the
+    old body read the breakpoint's own left limit, or 0.0 off the
+    breakpoints, where ``__call__`` and ``left_limit`` read the tail."""
+    for x in probes:
+        new, old = outcome(c.jump, x), outcome(old_jump, c, x)
+        if new != old:
+            assert zero_seam(c) and float(new[1]) == float(old[1]) == 0.0, x
+            assert new[1] == repr(c(x) - c.left_limit(x)), x
+
+
+SIGNED_LEVELS = st.sampled_from([0.0, -0.0, 5e-324, 0.25, 0.5, 1.0])
+WIDE_XS = st.sampled_from([-MAX, -1e308, -1.0, -0.0, 0.0, 0.5, 1e308, MAX]) | st.integers(-4, 4)
+WIDE_PROBES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, MAX, -MAX]
+
+
+@given(st.lists(WIDE_XS, min_size=1, max_size=4), st.lists(SIGNED_LEVELS, min_size=10,
+       max_size=10), st.sampled_from([NONDECREASING, NONINCREASING]), st.booleans(), st.booleans())
+def test_jump_matches_its_old_body(xs, levels, orientation, flip_left, flip_right):
+    """Breakpoints, midpoints, signed zeros, infinities and NaN, on curves up
+    to the float range wide, with the tails' zeros of either sign."""
+    xs = sorted({float(x) for x in xs})
+    chain = sorted(levels[:2 * len(xs)], reverse=orientation == NONINCREASING)
+    tl, tr = chain[0], chain[-1]
+    tl, tr = (-tl if flip_left and tl == 0.0 else tl), (-tr if flip_right and tr == 0.0 else tr)
+    try:
+        c = MonotoneRC([(x, chain[2 * i], chain[2 * i + 1]) for i, x in enumerate(xs)], tl, tr,
+                       orientation)
+    except ValueError:
+        return
+    mids = [_midpoint(a, b) for a, b in zip(c.xs, c.xs[1:])]
+    assert_jumps_agree(c, [*c.xs, *mids, *WIDE_PROBES])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_jump_on_a_lazy_curve_matches_its_old_body(seed):
+    rng = random.Random(seed)
+    xs = [rng.gauss(0.0, 1.0) for _ in range(1500)] + [0.0, -0.0] * 3
+    picks = sorted(xs)[:3] + sorted(xs)[-3:]
+    for x in [*picks, 0.0, -0.0, 2.5, *WIDE_PROBES]:
+        new, old = from_samples(xs).payload, from_samples(xs).payload
+        assert outcome(new.jump, x) == outcome(old_jump, old, x)

@@ -503,6 +503,22 @@ def test_plot_of_a_mixture_of_overflowed_spans(capsys, tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("reach", [8e307, 1e308, MAX])
+def test_plot_of_a_support_whose_padded_window_overflows(capsys, tmp_path, reach):
+    """The window padded by 15 % on each side is wider than the float range;
+    it was drawn with NaN coordinates and tick labels."""
+    d = write(tmp_path, "u.json", json.dumps({"type": "uniform", "a": -reach, "b": reach}))
+    prof = write(tmp_path, "s.json", json.dumps(
+        {"type": "step", "lambda_min": 0.2, "lambda_max": 0.6, "threshold": 0}))
+    svg = tmp_path / "u.svg"
+    code, out, err = run_cli(capsys, "plot", "--data", d, "--profile", prof, "--out", str(svg))
+    assert (code, err) == (0, "")
+    text = svg.read_text()
+    assert "nan" not in text and "inf" not in text
+    cx = float(text.split('<circle cx="')[1].split('"')[0])
+    assert 70.0 <= cx <= 730.0  # inside the axes, 70 px margins of 800
+
+
 @pytest.mark.parametrize("seed, informative", [(1883312004, 113), (1154501112, 114)])
 def test_no_dual_bound_above_the_risk(capsys, seed, informative):
     report = run_report(capsys, "check", "--suite", "duality-sandwich", "--trials", "200",

@@ -4,8 +4,10 @@ The oracle below is ``TestFunction`` as it was written when it kept a tuple
 of ``(x, y)`` nodes with its own collinear canonicaliser, evaluated by a
 linear scan and inverted by another.  The column form must reproduce it
 float for float, signed zeros included, so results are compared through
-``repr``.  The one exception, an interior node stored as -0.0 before a flat
-piece, is pinned by ``test_negative_zero_node_before_flat_piece``.
+``repr``.  The one exception is a node stored as a signed zero, where the
+scan interpolates from the node and may round to the other zero; the column
+form returns the stored zero.  ``test_negative_zero_node_before_flat_piece``
+and ``test_negative_zero_node_probed_at_negative_zero`` pin it.
 """
 
 import math
@@ -140,15 +142,14 @@ def levels(pts):
 
 
 def old_value(oracle, x):
-    """The oracle's value, except at an interior node stored as -0.0 before
-    a flat piece: there the scan interpolates to +0.0 and the column form
-    returns the stored -0.0, as ``MonotoneRC`` does."""
-    pts = oracle.points
-    for (xi, yi), (_, yn) in zip(pts[1:-1], pts[2:]):
-        if x == xi and math.copysign(1.0, yi) < 0 and yi == 0.0 == yn:
-            assert repr(oracle(x)) == "0.0"
+    """The oracle's value, except at a node stored as a signed zero where the
+    scan's interpolation, ``y + (x - x_node) * slope``, rounds to the other
+    zero: the column form returns the stored zero, as ``MonotoneRC`` does."""
+    y = oracle(x)
+    for xi, yi in oracle.points:
+        if x == xi and y == yi == 0.0:
             return yi
-    return oracle(x)
+    return y
 
 
 # ---------- against the oracle ----------
@@ -202,6 +203,19 @@ class TestAgainstNodeScan:
         assert repr(old(1.0)) == "0.0"
         assert repr(f(1.0)) == "-0.0"
         assert repr(f(1.5)) == repr(old(1.5))
+
+    @pytest.mark.parametrize("pts", [
+        ((-1.0, 0.25), (0.0, -0.0), (1.0, 0.0)),
+        ((-1.0, 0.0), (0.0, -0.0), (1.0, -0.25)),
+    ])
+    def test_negative_zero_node_probed_at_negative_zero(self, pts):
+        """Both nodes store -0.0, which the column form returns at +-0.0.  At
+        x = -0.0 the scan interpolates from the node to -0.0 before the flat
+        piece and to +0.0 before the falling one."""
+        f, old = Fn(pts), ScanFunction(pts)
+        assert repr(f(-0.0)) == repr(f(0.0)) == "-0.0"
+        assert repr(old(-0.0)) == ("-0.0" if pts[2][1] == 0.0 else "0.0")
+        assert repr(old_value(old, -0.0)) == "-0.0"
 
     def test_nan_level_is_out_of_range(self):
         f = Fn(((0.0, 1.0), (1.0, 0.0)))
