@@ -483,14 +483,11 @@ def render_plot(p: Cdf, profile: LossProfile, x_star: float) -> str:
     xs.extend(profile.curve.xs)
     x_lo, x_hi = min(xs), max(xs)
     pad = 0.15 * max(1.0, x_hi - x_lo)
-    x_lo -= pad
-    x_hi += pad
-    h = 1.0  # a padded span wider than the float range: clamp it, scale on halves
-    if x_hi - x_lo == math.inf:
-        x_lo, x_hi, h = max(x_lo, -sys.float_info.max), min(x_hi, sys.float_info.max), 2.0
+    x_lo = max(x_lo - pad, -sys.float_info.max)
+    x_hi = min(x_hi + pad, sys.float_info.max)
 
-    def sx(x):
-        return mx + (x / h - x_lo / h) / (x_hi / h - x_lo / h) * (width - 2 * mx)
+    def sx(x):  # on halves, so a span wider than the float range stays finite
+        return mx + (x / 2 - x_lo / 2) / (x_hi / 2 - x_lo / 2) * (width - 2 * mx)
 
     def sy(y):
         return height - my - y * (height - 2 * my)
