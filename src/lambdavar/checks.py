@@ -8,10 +8,10 @@ tolerance.  The two suites that compare with the reference routes import
 ``oracles`` when they run, and only the test functions import ``dual``, so
 the other suites load neither.
 
-A trial suite draws every trial's inputs here, in order, from one
-random.Random(seed); judges the trials in one contiguous chunk per usable
-CPU, the later chunks in forked workers; and folds the verdicts in trial
-order.  So a report does not depend on how many CPUs judged it.
+A trial suite is a draw and a judge.  ``_tally``, the one place that draws,
+draws every trial's inputs in order from one seeded generator, judges them
+in one contiguous chunk per usable CPU, the later chunks in forked workers,
+and folds the verdicts in trial order: no report depends on the CPU count.
 
 ``duality-sandwich`` runs ``oracles._gamma_truncations``, which stops the
 full truncation sweep at its first accepted repeated candidate and keeps its
@@ -131,8 +131,9 @@ class SuiteResult(_Record):
                           max_residual=max_residual, details={} if details is None else details)
 
 
-def _tally(name: str, trials: int, judge, cases, *counts: str) -> SuiteResult:
-    """The suite's result from judge(*case), a trial's verdict, for every case.
+def _tally(name: str, trials: int, seed: int, draw, judge, *counts: str) -> SuiteResult:
+    """The suite's result from judge(*case), a trial's verdict, for each of the
+    trials cases that draw(rng) draws, in order, before any is judged.
 
     A verdict is (violations, residual, *one number per name in counts).  The
     result sums the violations and each count, and takes the worst residual.
@@ -140,6 +141,8 @@ def _tally(name: str, trials: int, judge, cases, *counts: str) -> SuiteResult:
     chunks in forked workers.  If a worker fails, every case is judged here,
     so an error is the one a serial run raises.
     """
+    rng = random.Random(seed)
+    cases = [draw(rng) for _ in range(trials)]
     n = min(chunk_count(), len(cases))
     chunks = [cases[len(cases) * k // n:len(cases) * (k + 1) // n] for k in range(n)]
     parts = map_chunks(lambda chunk: [judge(*case) for case in chunk], chunks)
@@ -153,40 +156,33 @@ def _tally(name: str, trials: int, judge, cases, *counts: str) -> SuiteResult:
 
 def suite_mon(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
     """Dominated pairs never get a smaller risk."""
-    rng = random.Random(seed)
-    cases = [(*random_dominated_pair(rng), random_profile(rng)) for _ in range(trials)]
-
     def judge(p, q, prof):
         a, b = lambda_var(p, prof).value, lambda_var(q, prof).value
         return (1, a - b) if b < a else (0, 0.0)
 
-    return _tally("mon", trials, judge, cases)
+    return _tally("mon", trials, seed,
+                  lambda rng: (*random_dominated_pair(rng), random_profile(rng)), judge)
 
 
 def suite_qco(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
     """Mixtures are never riskier than the worse component."""
-    rng = random.Random(seed)
-    cases = [
-        (random_empirical(rng, pow2=True), random_empirical(rng, pow2=True),
-         rng.randint(0, GRAIN) / GRAIN, random_profile(rng))
-        for _ in range(trials)
-    ]
+    def draw(rng):
+        return (random_empirical(rng, pow2=True), random_empirical(rng, pow2=True),
+                rng.randint(0, GRAIN) / GRAIN, random_profile(rng))
 
     def judge(p, q, lam, prof):
         m = lambda_var(mixture(p, q, lam), prof).value
         cap = max(lambda_var(p, prof).value, lambda_var(q, prof).value)
         return (1, m - cap) if m > cap else (0, 0.0)
 
-    return _tally("qco", trials, judge, cases)
+    return _tally("qco", trials, seed, draw, judge)
 
 
 def suite_translation(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
     """Cash-translation identity, exact on the jump class."""
     from . import oracles
 
-    rng = random.Random(seed)
-    cases = []
-    for _ in range(trials):
+    def draw(rng):
         p = random_empirical(rng)
         kind = rng.randrange(3)
         if kind == 0:
@@ -195,44 +191,36 @@ def suite_translation(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
             prof = random_step_stack(rng)
         else:
             prof = random_step_stack(rng, curves.NONINCREASING)
-        cases.append((p, prof, dy(rng, -4.0, 4.0)))
+        return p, prof, dy(rng, -4.0, 4.0)
 
     def judge(p, prof, alpha):
         lhs, rhs = oracles.translation_pair(p, prof, alpha)
         return (1, abs(lhs - rhs)) if lhs != rhs else (0, 0.0)
 
-    return _tally("translation", trials, judge, cases)
+    return _tally("translation", trials, seed, draw, judge)
 
 
 def suite_reductions(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
     """Constant profiles reproduce Value at Risk and the worst case exactly."""
-    rng = random.Random(seed)
-    cases = [(random_empirical(rng), rng.randint(1, 63) / GRAIN) for _ in range(trials)]
-
     def judge(p, lam):
         a, b = lambda_var(p, constant_profile(lam)).value, value_at_risk(p, lam)
         c, d = lambda_var(p, constant_profile(0.0)).value, worst_case(p)
         return (1, max(abs(a - b), abs(c - d))) if a != b or c != d else (0, 0.0)
 
-    return _tally("reductions", trials, judge, cases)
+    return _tally("reductions", trials, seed,
+                  lambda rng: (random_empirical(rng), rng.randint(1, 63) / GRAIN), judge)
 
 
 def suite_cfa(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
     """Left-truncation sequences decrease to P with risks rising to the limit."""
-    rng = random.Random(seed)
-    cases = []
-    for _ in range(trials):
+    def draw(rng):
         p = random_empirical(rng)
-        if rng.random() < 0.5:
-            prof = constant_profile(rng.randint(0, 40) / GRAIN)
-        else:
+        if rng.random() >= 0.5:
             for _ in range(50):
                 prof = random_step_stack(rng)
                 if lambda_var(p, prof).violation_point - p.support_lower > 0.03:
-                    break
-            else:
-                prof = constant_profile(rng.randint(0, 40) / GRAIN)
-        cases.append((p, prof))
+                    return p, prof
+        return p, constant_profile(rng.randint(0, 40) / GRAIN)
 
     def judge(p, prof):
         """A violation unless the risks rise along the sequence to within 1e-3
@@ -249,7 +237,7 @@ def suite_cfa(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
         residual = abs(prev - base)
         return (1, residual) if not ok or residual >= 1e-3 else (0, residual)
 
-    return _tally("cfa", trials, judge, cases)
+    return _tally("cfa", trials, seed, draw, judge)
 
 
 def suite_cfb_counterexample(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
@@ -291,9 +279,7 @@ def suite_duality_sandwich(trials: int, seed: int, tol: float = 1e-9) -> SuiteRe
     """Weak duality plus the brute-force sandwich around gamma."""
     from . import dual, oracles
 
-    rng = random.Random(seed)
-    cases = []
-    for _ in range(trials):
+    def draw(rng):
         p = random_empirical(rng, max_atoms=10)
         kind = rng.randrange(3)
         if kind == 0:
@@ -302,7 +288,7 @@ def suite_duality_sandwich(trials: int, seed: int, tol: float = 1e-9) -> SuiteRe
             prof = random_step_stack(rng, jumps=2)
         else:
             prof = random_ramp_profile(rng)
-        cases.append((p, prof, random_test_function(rng), dy(rng, -4.0, 4.0)))
+        return p, prof, random_test_function(rng), dy(rng, -4.0, 4.0)
 
     def judge(p, prof, f, m):
         """Weak duality for the bound, and the brute-force gamma below the
@@ -322,7 +308,7 @@ def suite_duality_sandwich(trials: int, seed: int, tol: float = 1e-9) -> SuiteRe
             violations, worst = violations + 1, max(worst, brute - closed)
         return violations, worst, int(informative)
 
-    return _tally("duality-sandwich", trials, judge, cases, "informative")
+    return _tally("duality-sandwich", trials, seed, draw, judge, "informative")
 
 
 _SUITES = {

@@ -296,7 +296,7 @@ def load_profile(path: str):
 
 
 def file_digest(path: str) -> str:
-    import hashlib  # only compute and duality read it
+    import hashlib  # no command calls this, only bench/tracing.py
 
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -483,8 +483,10 @@ def render_plot(p: Cdf, profile: LossProfile, x_star: float) -> str:
     xs.extend(profile.curve.xs)
     x_lo, x_hi = min(xs), max(xs)
     pad = 0.15 * max(1.0, x_hi - x_lo)
-    x_lo = max(x_lo - pad, -sys.float_info.max)
-    x_hi = min(x_hi + pad, sys.float_info.max)
+    x_lo, x_hi = x_lo - pad, x_hi + pad
+    if x_lo == x_hi:  # a pad below half an ulp: widen by one float on each side
+        x_lo, x_hi = math.nextafter(x_lo, -math.inf), math.nextafter(x_hi, math.inf)
+    x_lo, x_hi = max(x_lo, -sys.float_info.max), min(x_hi, sys.float_info.max)
 
     def sx(x):  # on halves, so a span wider than the float range stays finite
         return mx + (x / 2 - x_lo / 2) / (x_hi / 2 - x_lo / 2) * (width - 2 * mx)

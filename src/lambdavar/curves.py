@@ -39,9 +39,9 @@ def _interp(xa, ya, xb, yb, x):
 
 
 def _clip01(y):
-    # NaN fails every comparison, so it falls through to the error.
+    # NaN fails every comparison, so it reaches the error; + 0.0 makes a zero +0.0
     if 0.0 <= y <= 1.0:
-        return y
+        return y + 0.0
     if -_RANGE_SLACK <= y < 0.0:
         return 0.0
     if 1.0 < y <= 1.0 + _RANGE_SLACK:

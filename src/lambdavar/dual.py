@@ -87,8 +87,7 @@ class TestFunction(_Record):
     tail_left = limit_left
     tail_right = limit_right
 
-    def __call__(self, x: float) -> float:
-        return _value(self, bisect.bisect_right(self.xs, x), x)
+    __call__ = MonotoneRC.__call__
 
     def integral(self, u: float, v: float) -> float:
         """Exact integral of f over [u, v] (trapezoid on each affine piece).

@@ -75,6 +75,15 @@ class TestConstructors:
         with pytest.raises(ValueError):
             Cdf(MonotoneRC(((0.0, 0.0, 0.5),), 0.0, 0.5))
 
+    def test_a_zero_level_is_stored_as_positive_zero(self):
+        # curves that compare == must print alike, and no jump is -0.0
+        a = MonotoneRC([(0.0, 0.5, 0.0)], 0.5, -0.0, NONINCREASING)
+        b = MonotoneRC([(0.0, 0.5, 0.0)], 0.5, 0.0, NONINCREASING)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        c = MonotoneRC([(0.0, -0.0, -0.0), (1.0, 0.5, 1.0)], -0.0, 1.0)
+        levels = (a.jump(1.0), a(1.0), c.tail_left, *c.lefts, *c.values)
+        assert [math.copysign(1.0, y) for y in levels] == [1.0] * 7
+
 
 class TestMixture:
     def test_weight_one_returns_first(self):

@@ -519,6 +519,21 @@ def test_plot_of_a_support_whose_padded_window_overflows(capsys, tmp_path, reach
     assert 70.0 <= cx <= 730.0  # inside the axes, 70 px margins of 800
 
 
+@pytest.mark.parametrize("at", [1e16, 1e300, MAX, -MAX])
+def test_plot_of_a_window_collapsed_to_one_point(capsys, tmp_path, at):
+    """One sample where a pad of 0.15 is below half an ulp: the padded window
+    was one point, and the scale divided by its zero width."""
+    d = write(tmp_path, "one.csv", f"{at!r}\n")
+    prof = write(tmp_path, "c.json", '{"type": "constant", "lambda": 0.3}')
+    svg = tmp_path / "one.svg"
+    code, out, err = run_cli(capsys, "plot", "--data", d, "--profile", prof, "--out", str(svg))
+    assert (code, err) == (0, "")
+    text = svg.read_text()
+    assert "nan" not in text and "inf" not in text
+    cx = float(text.split('<circle cx="')[1].split('"')[0])
+    assert 70.0 <= cx <= 730.0
+
+
 @pytest.mark.parametrize("seed, informative", [(1883312004, 113), (1154501112, 114)])
 def test_no_dual_bound_above_the_risk(capsys, seed, informative):
     report = run_report(capsys, "check", "--suite", "duality-sandwich", "--trials", "200",

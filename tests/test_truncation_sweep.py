@@ -5,6 +5,8 @@ or raise what it raises, under the true risk and under the skew of
 ``test_fork.py``, on trials drawn as the suite draws them.
 """
 
+import random
+
 import pytest
 
 from lambdavar import checks, curves, dual, oracles, profiles
@@ -17,8 +19,9 @@ def suite_cases(monkeypatch, trials, seed):
     """The (p, profile, f, m) of every trial, as run_suite draws them."""
     drawn = []
 
-    def keep(name, trials, judge, cases, *counts):
-        drawn.extend(cases)
+    def keep(name, trials, seed, draw, judge, *counts):
+        rng = random.Random(seed)
+        drawn.extend(draw(rng) for _ in range(trials))
         return checks.SuiteResult(name, trials, 0, 0.0)
 
     with monkeypatch.context() as mp:
