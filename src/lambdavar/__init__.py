@@ -36,10 +36,9 @@ _EXPORTS = {
         "worst_case",
     ),
     "oracles": (
-        "AcceptanceFamily", "Identity", "conjugate_divergence_witness", "converges_weakly",
-        "family_member_flat", "gamma_bruteforce", "gamma_family", "lambda_var_flat",
-        "min_risk_at_integral", "risk_from_family", "risk_lower_bound",
-        "translation_pair", "truncation_candidates",
+        "AcceptanceFamily", "Identity", "conjugate_divergence_witness", "family_member_flat",
+        "gamma_bruteforce", "gamma_family", "lambda_var_flat", "risk_from_family",
+        "risk_lower_bound", "translation_pair", "truncation_candidates",
     ),
     "profiles": (
         "LossProfile", "constant_profile", "family_member", "piecewise_profile",

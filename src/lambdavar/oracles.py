@@ -45,18 +45,16 @@ class AcceptanceFamily(_Record):
     """A decreasing family of benchmark curves indexed by a real level.
 
     Profile-backed families are defined for every level.  Table-backed
-    families carry finitely many (level, curve) pairs; with the "step-left"
-    rule the member at m is the curve of the smallest tabulated level >= m
-    (constant below the table, undefined above it), which keeps the family
-    decreasing and left-continuous in the level.  Rule "none" answers only at
-    tabulated levels.
+    families carry finitely many (level, curve) pairs, and the member at m is
+    the curve of the smallest tabulated level >= m (constant below the table,
+    undefined above it), which keeps the family decreasing and
+    left-continuous in the level.
     """
 
-    _fields = ("kind", "profile", "table", "rule")
+    _fields = ("kind", "profile", "table")
 
-    def __init__(self, kind: str, profile: LossProfile | None = None, table: tuple = (),
-                 rule: str = "step-left"):
-        vars(self).update(kind=kind, profile=profile, table=table, rule=rule)
+    def __init__(self, kind: str, profile: LossProfile | None = None, table: tuple = ()):
+        vars(self).update(kind=kind, profile=profile, table=table)
 
     @classmethod
     def from_profile(cls, profile: LossProfile) -> "AcceptanceFamily":
@@ -69,7 +67,7 @@ class AcceptanceFamily(_Record):
         return cls(kind="flat", profile=profile)
 
     @classmethod
-    def from_table(cls, entries, rule: str = "step-left") -> "AcceptanceFamily":
+    def from_table(cls, entries) -> "AcceptanceFamily":
         entries = tuple((float(m), g) for m, g in entries)
         if not entries:
             raise ValueError("empty family table")
@@ -79,9 +77,7 @@ class AcceptanceFamily(_Record):
         for (_, ga), (_, gb) in zip(entries, entries[1:]):
             if not pointwise_leq(gb, ga):
                 raise ValueError("table members must decrease with the level")
-        if rule not in ("step-left", "none"):
-            raise ValueError(f"unknown interpolation rule {rule!r}")
-        return cls(kind="table", table=entries, rule=rule)
+        return cls(kind="table", table=entries)
 
     def member(self, m: float) -> MonotoneRC:
         if self.kind == "profile":
@@ -89,11 +85,6 @@ class AcceptanceFamily(_Record):
         if self.kind == "flat":
             return family_member_flat(self.profile, m)
         m = float(m)
-        if self.rule == "none":
-            for mi, g in self.table:
-                if mi == m:
-                    return g
-            raise ValueError(f"level {m} not in family table")
         if m > self.table[-1][0]:
             raise ValueError(f"level {m} above family table")
         for mi, g in self.table:
@@ -111,9 +102,7 @@ class AcceptanceFamily(_Record):
         True only where the member curve is provably constant below m; used
         by the level search to report an infinite risk instead of guessing.
         """
-        if self.kind == "table" and self.rule == "step-left":
-            return m <= self.table[0][0]
-        return False
+        return self.kind == "table" and m <= self.table[0][0]
 
 
 def risk_from_family(
@@ -284,21 +273,6 @@ def risk_lower_bound(t: float, f: TestFunction, profile: LossProfile) -> float:
     raise AssertionError("dual variable inside range but never bracketed")
 
 
-def min_risk_at_integral(t: float, f: TestFunction, risk, candidates) -> float:
-    """Smallest risk among candidates whose integral of f reaches t.
-
-    An upper bound for the true infimum over all distributions; +inf when no
-    candidate qualifies (the empty-infimum convention).
-    """
-    best = math.inf
-    for q in candidates:
-        if stieltjes(f, q.payload) >= t:
-            val = risk(q)
-            if val < best:
-                best = val
-    return best
-
-
 def conjugate_divergence_witness(risk, f: TestFunction, n_max: int) -> float:
     """max over n = 1..n_max of f(n) - risk(point mass at n).
 
@@ -308,26 +282,3 @@ def conjugate_divergence_witness(risk, f: TestFunction, n_max: int) -> float:
     if n_max < 1:
         raise ValueError("need at least one point mass")
     return max(f(float(n)) - risk(dirac(float(n))) for n in range(1, n_max + 1))
-
-
-def converges_weakly(seq, limit: Cdf, probes, tol: float = 0.05) -> bool:
-    """Probe weak convergence of a CDF sequence at continuity points.
-
-    For each probe x the errors |F_n(x) - F(x)| must shrink monotonically
-    along the tail of the sequence and end below tol.  Probes sitting on a
-    jump of the limit are rejected.
-    """
-    seq = list(seq)
-    if not seq:
-        raise ValueError("empty sequence")
-    for x in probes:
-        if limit.payload.jump(x) != 0.0:
-            raise ValueError(f"probe not a continuity point: {x}")
-    tail = seq[len(seq) // 2:] if len(seq) >= 4 else seq
-    for x in probes:
-        errs = [abs(f(x) - limit(x)) for f in tail]
-        if any(b > a for a, b in zip(errs, errs[1:])):
-            return False
-        if errs[-1] > tol:
-            return False
-    return True

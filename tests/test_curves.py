@@ -8,7 +8,6 @@ from lambdavar import (
     NONINCREASING,
     Cdf,
     MonotoneRC,
-    converges_weakly,
     dirac,
     dominates,
     from_samples,
@@ -222,25 +221,6 @@ class TestTruncateLeft:
             truncate_left(dip, -1.0)
         with pytest.raises(ValueError, match="finite"):
             truncate_left(uniform(0, 1).payload, math.nan)
-
-
-class TestWeakConvergence:
-    def test_constant_sequence(self):
-        p = uniform(0, 1)
-        assert converges_weakly([p, p, p], p, [0.25, 0.5, 0.75])
-
-    def test_shifted_uniforms(self):
-        seq = [uniform(-1 / n, 1 - 1 / n) for n in range(1, 51)]
-        assert converges_weakly(seq, uniform(0, 1), [0.25, 0.5, 0.75])
-
-    def test_probe_on_jump_rejected(self):
-        seq = [dirac(1 / n) for n in range(1, 20)]
-        with pytest.raises(ValueError, match="continuity point"):
-            converges_weakly(seq, dirac(0), [0.0])
-
-    def test_divergent_sequence_detected(self):
-        seq = [uniform(0, 1) if n % 2 else uniform(0.5, 1.5) for n in range(20)]
-        assert not converges_weakly(seq, uniform(0, 1), [0.75])
 
 
 class TestCanonicalForm:

@@ -19,7 +19,6 @@ from lambdavar import (
     gamma_family,
     gamma_increasing,
     lambda_var,
-    min_risk_at_integral,
     negated_cdf,
     profile_gamma,
     ramp_ladder,
@@ -56,6 +55,21 @@ def nonconstant_test_function(rng):
     while f.limit_left == f.limit_right:
         f = random_test_function(rng)
     return f
+
+
+def min_risk_at_integral(t: float, f: dual.TestFunction, risk, candidates) -> float:
+    """Smallest risk among candidates whose integral of f reaches t.
+
+    An upper bound for the true infimum over all distributions; +inf when no
+    candidate qualifies (the empty-infimum convention).
+    """
+    best = math.inf
+    for q in candidates:
+        if stieltjes(f, q.payload) >= t:
+            val = risk(q)
+            if val < best:
+                best = val
+    return best
 
 
 class TestTestFunction:

@@ -244,14 +244,6 @@ class TestTableFamily:
         with pytest.raises(ValueError, match="above family table"):
             self._table().member(2.0)
 
-    def test_rule_none_requires_exact_level(self):
-        fam = AcceptanceFamily.from_table(
-            [(0.0, family_member(constant_profile(0.1), 0.0))], rule="none"
-        )
-        assert fam.member(0.0)(0.0) == 1.0
-        with pytest.raises(ValueError):
-            fam.member(0.5)
-
     def test_increasing_members_rejected(self):
         with pytest.raises(ValueError, match="decrease"):
             AcceptanceFamily.from_table(

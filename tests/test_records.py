@@ -78,7 +78,6 @@ class AcceptanceFamily:
     kind: str
     profile: object = None
     table: tuple = ()
-    rule: str = "step-left"
 
 
 @dataclass
@@ -200,7 +199,7 @@ def test_constructors_take_the_dataclass_arguments():
     p = _profile(0.1)
     pairs = [
         (oracles.AcceptanceFamily("profile", profile=p), AcceptanceFamily("profile", profile=p)),
-        (oracles.AcceptanceFamily("flat", p, (), "none"), AcceptanceFamily("flat", p, (), "none")),
+        (oracles.AcceptanceFamily("flat", p, ()), AcceptanceFamily("flat", p, ())),
         (oracles.AcceptanceFamily(kind="table", table=((0.0, p.curve),)),
          AcceptanceFamily(kind="table", table=((0.0, p.curve),))),
         (measures.RiskReport(value=math.inf, violation_point=None,
