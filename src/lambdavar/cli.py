@@ -229,15 +229,24 @@ def parse_distribution(obj) -> Cdf:
     raise ValueError(f"unknown distribution type {kind!r}")
 
 
-def _parse_json(path: str, text: str, parse):
+def _parse_json(path: str, text: str, parse, finite: bool = False):
     """(object, parse(object)) for the JSON text read from path.
 
     Both ``json.loads`` and ``parse_distribution`` recurse once per level of
     nesting, so input nested past the recursion limit is a parse error.  JSON
     integers have no size limit, so one that no float can hold is one too.
+    With finite, so is a number that is not a finite float (NaN, Infinity,
+    -Infinity, 1e400): a profile is read so, as its report echoes it.
     """
+    def finite_number(raw):
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: not a finite number: {raw}")
+        return value
+
+    hooks = {"parse_constant": finite_number, "parse_float": finite_number} if finite else {}
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, **hooks)
         return obj, parse(obj)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
@@ -291,7 +300,7 @@ def parse_profile(obj) -> LossProfile:
 
 def load_profile(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        obj, profile = _parse_json(path, fh.read(), parse_profile)
+        obj, profile = _parse_json(path, fh.read(), parse_profile, finite=True)
     return profile, obj
 
 

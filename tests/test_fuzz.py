@@ -14,6 +14,7 @@ it returns 0.
 import contextlib
 import io
 import json
+import math
 import os
 
 import jsonschema
@@ -32,6 +33,7 @@ FINITE = st.one_of(
     st.integers(-5, 5),
 )
 NUMBER = st.one_of(FINITE, st.floats(), HUGE)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 JUNK = st.one_of(
     st.none(),
     st.booleans(),
@@ -70,17 +72,20 @@ def piecewise_profiles(draw):
 @st.composite
 def spoiled(draw, objects):
     """A well-formed object: kept as it is, or with one field replaced or
-    dropped, or one point made too short or too long, or replaced whole by
-    a value of another type."""
+    dropped, or an extra key that holds NaN or an infinity, or one point
+    made too short or too long, or replaced whole by a value of another
+    type."""
     obj = dict(draw(objects))
     key = draw(st.sampled_from(sorted(obj)))
-    how = draw(st.sampled_from(["keep"] * 4 + ["replace", "drop", "reshape", "junk"]))
+    how = draw(st.sampled_from(["keep"] * 4 + ["replace", "drop", "extra", "reshape", "junk"]))
     if how == "junk":
         return draw(JUNK)
     if how == "replace":
         obj[key] = draw(VALUE | POINTS)
     elif how == "drop":
         del obj[key]
+    elif how == "extra":
+        obj["note"] = draw(NON_FINITE)
     elif how == "reshape" and obj.get("points"):
         points = [list(p) for p in obj["points"]]
         i = draw(st.integers(0, len(points) - 1))
