@@ -29,7 +29,7 @@ The set:
   ``plot`` on three data files;
 - four profiles with a non-finite number (NaN, Infinity, -Infinity, 1e400)
   in a key that no parser reads, under ``lambda-var`` and ``duality``;
-- inputs that end in each error exit code.
+- ten inputs that end in an error: exits 2, 3 and 5.
 """
 
 import hashlib

@@ -35,9 +35,10 @@ import corpus  # noqa: E402
 DIGESTS = ROOT / "tests" / "data" / "corpus_digests.json"
 ENTRY = "from lambdavar.cli import run; run()"
 FIELDS = ("exit", "stdout", "stderr", "svg")
+JOBS = 2  # commands run at once; each is a small interpreter
 
 
-def run_tree(tree: Path, jobs: int):
+def run_tree(tree: Path):
     """The inputs' digests and each command's outcome on tree, by name, in corpus order."""
     env = {k: v for k, v in os.environ.items() if k not in ("LVAR_TOL", "PYTHONPATH")}
     env.update(PYTHONPATH=str(tree.resolve() / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -53,7 +54,7 @@ def run_tree(tree: Path, jobs: int):
             return corpus.name(argv), corpus.outcome(proc.returncode, proc.stdout,
                                                      proc.stderr, svg)
 
-        with ThreadPoolExecutor(jobs) as pool:
+        with ThreadPoolExecutor(JOBS) as pool:
             return inputs, dict(pool.map(one, corpus.commands()))
 
 
@@ -90,13 +91,12 @@ def main(argv=None) -> int:
     mode.add_argument("--check", action="store_true", help="compare one tree with the digests")
     mode.add_argument("--write", action="store_true", help="regenerate the digests from one tree")
     parser.add_argument("--no-stderr", action="store_true", help="leave stderr out of --check")
-    parser.add_argument("--jobs", type=int, default=2, help="commands run at once (default 2)")
     args = parser.parse_args(argv)
     if len(args.trees) != (1 if args.check or args.write else 2):
         parser.error("give PARENT CHANGE, or one TREE with --check or --write")
     if args.no_stderr and not args.check:
         parser.error("--no-stderr goes with --check")
-    runs = [run_tree(tree, args.jobs) for tree in args.trees]
+    runs = [run_tree(tree) for tree in args.trees]
     if args.write:
         write(DIGESTS, *runs[0])
         print(f"wrote {len(runs[0][1])} commands to {DIGESTS}")
