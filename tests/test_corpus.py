@@ -49,11 +49,9 @@ def test_inputs_have_the_recorded_bytes(inputs):
 def test_every_command_prints_the_recorded_bits(inputs, monkeypatch):
     monkeypatch.chdir(inputs[0])
     monkeypatch.delenv("LVAR_TOL", raising=False)
-    names = [corpus.name(argv) for argv in corpus.commands()]
+    argvs = corpus.commands()
+    names = [corpus.name(argv) for argv in argvs]
     assert len(set(names)) == len(names)
     assert sorted(names) == sorted(DIGESTS["commands"])
-    differ = [
-        name for name, argv in zip(names, corpus.commands())
-        if run(argv) != DIGESTS["commands"][name]
-    ]
+    differ = [name for name, argv in zip(names, argvs) if run(argv) != DIGESTS["commands"][name]]
     assert not differ, "outputs differ from the digests:\n" + "\n".join(differ)
