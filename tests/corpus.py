@@ -29,6 +29,11 @@ The set:
   ``plot`` on three data files;
 - four profiles with a non-finite number (NaN, Infinity, -Infinity, 1e400)
   in a key that no parser reads, under ``lambda-var`` and ``duality``;
+- three CSVs of 1023, 1024 and 1025 draws on a grid of step 1/4, with ties
+  and zeros of both signs, on both sides of the 1024 samples where
+  ``from_samples`` starts building lazily: ``var`` at the shares 1/n, a
+  middle k/n and (n - 1)/n and at a level between two shares, and
+  ``entropic`` and ``certainty-eq``;
 - ten inputs that end in an error: exits 2, 3 and 5.
 """
 
@@ -77,10 +82,20 @@ DATA = ["gauss.csv", "atoms.csv", "shifted.csv", "huge.csv", "minus-huge.csv",
         "mixture.json", "piecewise.json", *UNIFORM_ENDS]
 # duality's default window of 0.01 vanishes next to 1e308
 WIDE = {"huge.csv", "minus-huge.csv", *UNIFORM_ENDS}
+GRID_SIZES = [1023, 1024, 1025]  # from_samples is lazy from 1024 samples on
 
 
 def _csv(values, header=False) -> str:
     return "value\n" * header + "".join(f"{v!r}\n" for v in values)
+
+
+def _grid(rng, n) -> list:
+    # multiples of 1/4 in [-2, 2], so ties; a zero is -0.0 or 0.0
+    return [rng.randint(-8, 8) / 4 or rng.choice([-0.0, 0.0]) for _ in range(n)]
+
+
+def _grid_name(n) -> str:
+    return f"grid-{n}.csv"
 
 
 def inputs() -> dict:
@@ -100,6 +115,7 @@ def inputs() -> dict:
                            "points": [[-2, 0.0, 0.1], [0, 0.4, 0.6], [3, 0.8, 1.0]]},
         **{name: {"type": "uniform", "a": -a, "b": a} for name, a in UNIFORM_ENDS.items()},
         **{name: _csv([x]) for name, x in ONE_POINT.items()},
+        **{_grid_name(n): _csv(_grid(rng, n)) for n in GRID_SIZES},
         **PROFILES,
         **ZERO_PROFILES,
         **NON_FINITE_PROFILES,
@@ -154,6 +170,13 @@ def commands() -> list:
             argvs += _against(data, profile)
     for profile in NON_FINITE_PROFILES:
         argvs += _against("gauss.csv", profile)[:2]
+    for n in GRID_SIZES:
+        data = _grid_name(n)
+        k = n // 2
+        levels = [repr(i / n) for i in (1, k, n - 1)] + [repr((2 * k + 1) / (2 * n))]
+        argvs += [["compute", "--data", data, "--measure", "var", "--lambda", level]
+                  for level in levels]
+        argvs += [["compute", "--data", data, *measure] for measure in MEASURES[2:]]
     argvs += [
         ["compute", "--data", "bad-line.csv", "--measure", "worst-case"],
         ["compute", "--data", "empty.csv", "--measure", "worst-case"],
