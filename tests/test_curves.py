@@ -83,6 +83,12 @@ class TestConstructors:
         levels = (a.jump(1.0), a(1.0), c.tail_left, *c.lefts, *c.values)
         assert [math.copysign(1.0, y) for y in levels] == [1.0] * 7
 
+    def test_left_limit_at_the_first_breakpoint_is_positive_zero(self):
+        # -0.0 levels and tails are stored as +0.0, the first left limit too
+        up = MonotoneRC([(0.0, -0.0, -0.0), (1.0, 0.5, 1.0)], -0.0, 1.0)
+        free = MonotoneRC([(0.0, -0.0, 0.5), (1.0, 0.5, -0.0)], -0.0, -0.0, None)
+        assert [repr(c.left_limit(c.xs[0])) for c in (up, free)] == ["0.0", "0.0"]
+
 
 class TestMixture:
     def test_weight_one_returns_first(self):

@@ -149,6 +149,15 @@ class TestStieltjes:
 
 
 class TestGammaClosedForms:
+    def test_one_node_function_gives_its_limit(self):
+        # a constant f has no piece to integrate over, at any level m; the
+        # -0.0 shows that nothing was added to the limit
+        f = dual.TestFunction(((2.0, -0.0),))
+        prof = constant_profile(0.25)
+        gamma = profile_gamma(prof)
+        for m in (-math.inf, -3.0, -2.0, 0.0, 5.0):
+            assert repr(gamma_increasing(m, f, prof)) == repr(gamma(m, f)) == repr(f.limit_left)
+
     def test_worst_case_family(self):
         rng = random.Random(2)
         fam = AcceptanceFamily.from_profile(constant_profile(0.0))

@@ -71,17 +71,17 @@ def piecewise_profiles(draw):
 
 @st.composite
 def spoiled(draw, objects):
-    """A well-formed object: kept as it is, or with one field replaced or
-    dropped, or an extra key that holds NaN or an infinity, or one point
-    made too short or too long, or replaced whole by a value of another
-    type."""
+    """A well-formed object: kept as it is, or with one field replaced (by
+    NaN or an infinity part of the time) or dropped, or an extra key that
+    holds NaN or an infinity, or one point made too short or too long, or
+    replaced whole by a value of another type."""
     obj = dict(draw(objects))
     key = draw(st.sampled_from(sorted(obj)))
     how = draw(st.sampled_from(["keep"] * 4 + ["replace", "drop", "extra", "reshape", "junk"]))
     if how == "junk":
         return draw(JUNK)
     if how == "replace":
-        obj[key] = draw(VALUE | POINTS)
+        obj[key] = draw(NON_FINITE if draw(st.booleans()) else VALUE | POINTS)
     elif how == "drop":
         del obj[key]
     elif how == "extra":

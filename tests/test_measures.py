@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -144,6 +145,13 @@ class TestReductions:
 class TestCertaintyEquivalent:
     def test_point_mass_inverts_exactly(self):
         assert certainty_equivalent(dirac(1.75), ExpNeg()) == -1.75
+
+    @pytest.mark.parametrize(
+        "x", [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max]
+    )
+    def test_point_mass_keeps_the_bits_of_minus_x(self, x):
+        # signed zeros and the ends of the float range included
+        assert repr(certainty_equivalent(dirac(x), ExpNeg())) == repr(-x)
 
     def test_two_point_exponential(self):
         p = mixture(dirac(0.0), dirac(-1.0), 0.5)

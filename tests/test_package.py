@@ -234,7 +234,7 @@ def test_each_command_loads_only_what_it_runs(command, tmp_path):
     assert status == 0
     assert "lambdavar.cli" in added
     assert not {"dataclasses", "inspect"} & set(added)
-    assert "array" not in added  # the CSV reader loads it only when it forks
+    assert "array" not in added  # nothing loads it: CSV workers send floats by marshal
     assert ("lambdavar.oracles" in added) == (command in ORACLE_SUITES)
     assert ("lambdavar.dual" in added) == (command in DUAL_COMMANDS)
     if command.startswith("check-"):
