@@ -397,8 +397,6 @@ def cmd_compute(args) -> dict:
         from .dual import ExpNeg
 
         value = certainty_equivalent(p, ExpNeg())
-    else:
-        raise ValueError(f"unknown measure {args.measure!r}")
     return {
         "report": "compute",
         "measure": args.measure,
@@ -585,14 +583,9 @@ def _env_tol() -> float:
     if raw is None:
         return DEFAULT_TOL
     try:
-        tol = float(raw)
-    except ValueError:
-        raise ValueError(f"LVAR_TOL is not a number: {raw!r}") from None
-    if not math.isfinite(tol):
-        raise ValueError(f"LVAR_TOL is not a finite number: {raw!r}")
-    if tol < 0:
-        raise ValueError(f"LVAR_TOL is not a nonnegative number: {raw!r}")
-    return tol
+        return _tolerance(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"LVAR_TOL: {exc}") from None
 
 
 def _finite(raw: str) -> float:
@@ -676,7 +669,7 @@ def main(argv=None) -> int:
     except _Unwritable as exc:
         _error(f"error: cannot write output: {exc}")
         return 5
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         _error(f"error: {exc}")
         return 2
     return 0

@@ -214,7 +214,7 @@ class MonotoneRC(_Record):
         """Limit from the left at x; NaN is an error."""
         k = bisect.bisect_left(self.xs, x)
         if k < len(self.xs) and self.xs[k] == x:
-            return self.lefts[k] if k else self.tail_left
+            return self.lefts[k]
         _reject_nan(x)
         return _off_breakpoint(self, k, x)[0]
 
@@ -339,9 +339,7 @@ def _trim_ends(xs, ls, vs, tl, tr):
         hi -= 1
     if hi - lo == 1 and ls[lo] == vs[lo] == tl == tr:
         lo = hi
-    if hi - lo < len(xs):
-        return xs[lo:hi], ls[lo:hi], vs[lo:hi]
-    return xs, ls, vs
+    return xs[lo:hi], ls[lo:hi], vs[lo:hi]
 
 
 def _value(curve: MonotoneRC, k: int, x: float) -> float:
@@ -419,13 +417,13 @@ def _walk(f: MonotoneRC, g: MonotoneRC):
             xg = math.inf
         x = xf if xf <= xg else xg
         if xf == x:
-            fl = fls[i] if i else f.tail_left
+            fl = fls[i]
             fv = fvs[i]
             i += 1
         else:
             fl, fv = _off_breakpoint(fc, i, x)
         if xg == x:
-            gl = gls[j] if j else g.tail_left
+            gl = gls[j]
             gv = gvs[j]
             j += 1
         else:
@@ -523,8 +521,6 @@ class Cdf(_Record):
             raise ValueError("a CDF must be nondecreasing")
         if payload.tail_left != 0.0 or payload.tail_right != 1.0:
             raise ValueError("a CDF must have limits 0 and 1")
-        if not _built(payload).xs:
-            raise ValueError("a CDF must reach 1 at a finite point")
         vars(self)["payload"] = payload
 
     def __call__(self, x: float) -> float:

@@ -215,8 +215,6 @@ def stieltjes(g, f: MonotoneRC, a: float = -math.inf, b: float = math.inf) -> fl
 def _profile_pieces(f: TestFunction, lam: MonotoneRC):
     """Affine pieces (p, q, f_slope, lam_at_p, lam_before_q) on f's span."""
     fx = f.xs
-    if len(fx) < 2:
-        return []
     lo = bisect.bisect_right(lam.xs, fx[0])
     hi = bisect.bisect_left(lam.xs, fx[-1])
     inner = sorted(set(fx) | set(lam.xs[lo:hi]))

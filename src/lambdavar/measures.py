@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 from .curves import Cdf, _bisect, _midpoint, _Record, first_above
-from .exceptions import InfeasibleProfileError
 from .profiles import LossProfile
 
 
@@ -46,9 +45,6 @@ def lambda_var(p: Cdf, profile: LossProfile) -> RiskReport:
     """
     profile.require_feasible()
     x_star = first_above(p.payload, profile.curve)
-    if x_star is None:
-        # Unreachable for a CDF against a feasible profile: F reaches 1.
-        raise InfeasibleProfileError("profile accepts the distribution at every level")
     if x_star == -math.inf:
         return RiskReport(math.inf, None, "plus_infinity_tail_dominated")
     return RiskReport(-x_star, x_star, "finite")
@@ -78,8 +74,6 @@ def certainty_equivalent(p: Cdf, f) -> float:
 
     lo = p.support_lower
     hi = p.support_upper
-    if lo == hi:
-        return -lo
     if isinstance(f, ExpNeg):
         f = ExpNeg(lo)
     integral = stieltjes(f, p.payload)

@@ -572,7 +572,7 @@ class TestTolEnv:
         code, out, err = run_cli(capsys, "check", "--suite", "reductions", "--trials", "1")
         assert code == 2
         assert out == ""
-        assert err == f"error: LVAR_TOL is not a finite number: {raw!r}\n"
+        assert err == f"error: LVAR_TOL: not a finite number: {raw!r}\n"
 
     def test_plus_inf_encoding(self):
         from lambdavar.cli import encode_value
@@ -646,7 +646,7 @@ class TestNegativeTol:
         monkeypatch.setenv("LVAR_TOL", "-1")
         code, out, err = run_cli(capsys, "check", "--suite", "duality-sandwich", "--trials", "1")
         assert (code, out) == (2, "")
-        assert err == "error: LVAR_TOL is not a nonnegative number: '-1'\n"
+        assert err == "error: LVAR_TOL: not a nonnegative number: '-1'\n"
 
     @pytest.mark.parametrize("raw", ["0", "-0.0"])
     def test_zero_passes(self, capsys, raw):
