@@ -156,7 +156,8 @@ class TestGammaClosedForms:
         prof = constant_profile(0.25)
         gamma = profile_gamma(prof)
         for m in (-math.inf, -3.0, -2.0, 0.0, 5.0):
-            assert repr(gamma_increasing(m, f, prof)) == repr(gamma(m, f)) == repr(f.limit_left)
+            got = (gamma_increasing(m, f, prof), gamma(m, f))
+            assert [repr(g) for g in got] == ["-0.0", "-0.0"]
 
     def test_worst_case_family(self):
         rng = random.Random(2)

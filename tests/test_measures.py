@@ -150,7 +150,6 @@ class TestCertaintyEquivalent:
         "x", [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max]
     )
     def test_point_mass_keeps_the_bits_of_minus_x(self, x):
-        # signed zeros and the ends of the float range included
         assert repr(certainty_equivalent(dirac(x), ExpNeg())) == repr(-x)
 
     def test_two_point_exponential(self):
