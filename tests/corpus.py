@@ -34,6 +34,12 @@ The set:
   ``from_samples`` starts building lazily: ``var`` at the shares 1/n, a
   middle k/n and (n - 1)/n and at a level between two shares, and
   ``entropic`` and ``certainty-eq``;
+- a CSV of a little over 4 MiB after its header, which two CPUs parse in
+  two byte ranges: draws on a grid of 1/64, so with ties, in [-3, -1) and
+  (1, 6], and zeros of both signs around the 2 % rank on either side of
+  the cut, written with forty decimals; ``lambda-var`` on the step
+  profile, ``var`` at the share n // 50 / n, ``entropic``, and ``duality``
+  with 30 functions;
 - ten inputs that end in an error: exits 2, 3 and 5.
 """
 
@@ -83,6 +89,8 @@ DATA = ["gauss.csv", "atoms.csv", "shifted.csv", "huge.csv", "minus-huge.csv",
 # duality's default window of 0.01 vanishes next to 1e308
 WIDE = {"huge.csv", "minus-huge.csv", *UNIFORM_ENDS}
 GRID_SIZES = [1023, 1024, 1025]  # from_samples is lazy from 1024 samples on
+RANGED = "ranged.csv"
+RANGED_N = 98_100  # 4,220,261 bytes after the header; two ranges need 4 MiB
 
 
 def _csv(values, header=False) -> str:
@@ -92,6 +100,23 @@ def _csv(values, header=False) -> str:
 def _grid(rng, n) -> list:
     # multiples of 1/4 in [-2, 2], so ties; a zero is -0.0 or 0.0
     return [rng.randint(-8, 8) / 4 or rng.choice([-0.0, 0.0]) for _ in range(n)]
+
+
+def _ranged(rng) -> str:
+    # 1.5 % in [-3, -1), 1 % zeros and the rest in (1, 6], all on a grid of
+    # 1/64, so ties everywhere: the 2 % rank is a zero, and the 1 % rank lies
+    # below the step's threshold.  Forty decimals write each value exactly in
+    # a long line, which keeps the count, and the test's time, down.
+    values = []
+    for _ in range(RANGED_N):
+        u = rng.random()
+        if u < 0.015:
+            values.append(rng.randint(-192, -65) / 64)
+        elif u < 0.025:
+            values.append(rng.choice([-0.0, 0.0]))
+        else:
+            values.append(rng.randint(65, 384) / 64)
+    return "value\n" + "".join(f"{x:.40f}\n" for x in values)
 
 
 def _grid_name(n) -> str:
@@ -116,6 +141,7 @@ def inputs() -> dict:
         **{name: {"type": "uniform", "a": -a, "b": a} for name, a in UNIFORM_ENDS.items()},
         **{name: _csv([x]) for name, x in ONE_POINT.items()},
         **{_grid_name(n): _csv(_grid(rng, n)) for n in GRID_SIZES},
+        RANGED: _ranged(rng),
         **PROFILES,
         **ZERO_PROFILES,
         **NON_FINITE_PROFILES,
@@ -177,6 +203,13 @@ def commands() -> list:
         argvs += [["compute", "--data", data, "--measure", "var", "--lambda", level]
                   for level in levels]
         argvs += [["compute", "--data", data, *measure] for measure in MEASURES[2:]]
+    n = RANGED_N
+    argvs += [
+        ["compute", "--data", RANGED, "--measure", "lambda-var", "--profile", "step.json"],
+        ["compute", "--data", RANGED, "--measure", "var", "--lambda", repr(n // 50 / n)],
+        ["compute", "--data", RANGED, "--measure", "entropic"],
+        ["duality", "--data", RANGED, "--profile", "step.json", "--functions", "30"],
+    ]
     argvs += [
         ["compute", "--data", "bad-line.csv", "--measure", "worst-case"],
         ["compute", "--data", "empty.csv", "--measure", "worst-case"],

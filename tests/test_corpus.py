@@ -55,3 +55,10 @@ def test_every_command_prints_the_recorded_bits(inputs, monkeypatch):
     assert sorted(names) == sorted(DIGESTS["commands"])
     differ = [name for name, argv in zip(names, argvs) if run(argv) != DIGESTS["commands"][name]]
     assert not differ, "outputs differ from the digests:\n" + "\n".join(differ)
+
+
+def test_the_ranged_csv_takes_two_ranges(inputs):
+    from lambdavar import cli
+
+    body = (inputs[0] / corpus.RANGED).read_bytes().partition(b"\n")[2]
+    assert len(body) >= 2 * cli._RANGE_BYTES
