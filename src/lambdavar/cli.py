@@ -18,14 +18,17 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import marshal
 import math
 import os
 import stat
 import sys
+from itertools import chain
 
 from ._fork import chunk_count, leave, map_chunks
 from .curves import (
-    Cdf, _from_floats, _interp, dirac, from_samples, mixture, piecewise_cdf, uniform,
+    Cdf, _all_finite, _from_floats, _from_head, _interp, _joined, dirac, from_samples,
+    mixture, piecewise_cdf, uniform,
 )
 from .exceptions import BracketError, DualRangeError, InfeasibleProfileError
 from .measures import (
@@ -74,6 +77,10 @@ REPORT_SCHEMA = {
 # in one range and is parsed without a fork.
 _RANGE_BYTES = 2 << 20
 _BLOCK_BYTES = 1 << 20
+# The lazy curve's pivot is read from _PIVOT_LINES lines of the file, each
+# found within _LINE_BYTES of its offset.
+_PIVOT_LINES = 1024
+_LINE_BYTES = 256
 
 
 def read_csv_samples(path: str):
@@ -92,45 +99,97 @@ def read_csv_samples(path: str):
     or FIFO goes there straight, and so does any file where os has no pread.
     """
     with open(path, "rb") as fh:
-        return _read_regular(fh.fileno()) or _parse_lines(path, _text(fh.read()))
+        parts = _read_regular(fh.fileno())
+        return parts and _joined(*_held(parts)) or _parse_lines(path, _text(fh.read()))
 
 
 def _read_regular(fd: int, digest=None):
-    """The samples of a regular file by byte range, or None for the line loop.
+    """The parsed ranges of a regular file, or None for the line loop.
 
-    With a digest, the caller feeds it the file's bytes up to the size that
-    the ranges were cut from, after its own range and while the workers
-    parse theirs.
+    Each range gives (samples, count, finite, head), in file order: its
+    floats, how many there are, whether all are finite, and, in input
+    order, those at or below the pivot that _pivot reads from the file
+    (None if it finds none).  Each range does this work where it is parsed.
+    The caller's own floats stay a list; a worker's stay the marshal bytes
+    it sent until _held's loader reads them.  With a digest, the caller
+    feeds it the file's bytes up to the size that the ranges were cut from,
+    after its own range and while the workers parse theirs.
     """
     st = os.fstat(fd)
     if not (hasattr(os, "pread") and stat.S_ISREG(st.st_mode)):
         return None
     size = st.st_size
-    head, newline, _ = os.pread(fd, 256, 0).partition(b"\n")
+    first, newline, _ = os.pread(fd, 256, 0).partition(b"\n")
     # A lone \r ends a line in text mode: after one, the word is on line 2.
-    is_header = newline and head.rstrip().lstrip(b" \t\v\f").lower() == b"value"
-    skip = len(head) + 1 if is_header else 0
+    is_header = newline and first.rstrip().lstrip(b" \t\v\f").lower() == b"value"
+    skip = len(first) + 1 if is_header else 0
     n = min(chunk_count(), (size - skip) // _RANGE_BYTES)
 
     def parse(span):
         samples = _parse_range(fd, *span)
-        if digest is not None and span is ranges[0]:  # here, not in a worker
+        mine = span is ranges[0]  # here, not in a worker
+        if digest is not None and mine:
             _hash_upto(fd, size, digest)
-        return samples
+        head = None if pivot is None else [x for x in samples if x <= pivot]
+        return (samples if mine else marshal.dumps(samples), len(samples),
+                _all_finite(samples), head)
 
     try:
+        pivot = _pivot(fd, skip, size)
         cuts = (_line_start(fd, skip + (size - skip) * k // n) for k in range(1, n))
         bounds = [skip, *cuts, size]
         ranges = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-        parts = map_chunks(parse, ranges)
+        return map_chunks(parse, ranges) or None
     except (ValueError, OSError):
         return None
-    if not parts:
-        return None
-    samples = parts[0]
-    for part in parts[1:]:
-        samples.extend(part)
-    return samples
+
+
+def _pivot(fd: int, start: int, end: int):
+    """The sample at the 2 % rank of the lines at _PIVOT_LINES evenly spaced
+    offsets of bytes [start, end), or None if no line is left.
+
+    Each is the first full line at or after its offset.  A line that float()
+    refuses, or that does not end within _LINE_BYTES, is left out.  So the
+    pivot depends on the file's bytes only, never on how many ranges parse
+    them, and it is one of the samples whenever the ranges parse.
+    """
+    sample = []
+    for k in range(_PIVOT_LINES):
+        pos = start + (end - start) * k // _PIVOT_LINES
+        at = pos - 1 if pos > start else pos  # a line starts after a newline at pos - 1
+        block = os.pread(fd, min(_LINE_BYTES, end - at), at)
+        lines = block.split(b"\n", 2)[pos > start:]
+        if len(lines) > 1 or lines and at + len(block) == end:  # a newline or the end follows
+            try:
+                sample.append(float(lines[0]))
+            except ValueError:
+                pass
+    sample.sort()
+    return sample[len(sample) // 50] if sample else None
+
+
+def _held(parts):
+    """The caller's own floats and a loader for each worker's."""
+    return parts[0][0], [_loader(blob) for blob, *_ in parts[1:]]
+
+
+def _loader(blob: bytes):
+    return lambda: marshal.loads(blob)
+
+
+def _from_ranges(parts, n: int) -> Cdf:
+    """The empirical CDF of the n samples of the parsed ranges.
+
+    It is built from the heads, lazily from 1024 samples on, and reads a
+    worker's floats only when it completes.  Without a pivot it is
+    _from_floats on all the samples.
+    """
+    if not all(finite for _, _, finite, _ in parts):
+        raise ValueError("samples must be finite")
+    if parts[0][3] is None:
+        return _from_floats(_joined(*_held(parts)))
+    head = list(chain.from_iterable(head for *_, head in parts))
+    return _from_head(head, n, *_held(parts))
 
 
 def _hash_upto(fd: int, size: int, digest) -> None:
@@ -269,9 +328,10 @@ def _load_data(path: str):
     is_json = path.endswith(".json")
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        samples = None if is_json else _read_regular(fh.fileno(), digest)
-        if samples:
-            return _from_floats(samples), "sha256:" + digest.hexdigest()
+        parts = None if is_json else _read_regular(fh.fileno(), digest)
+        n = parts and sum(count for _, count, _, _ in parts)
+        if n:
+            return _from_ranges(parts, n), "sha256:" + digest.hexdigest()
         data = fh.read()
     text = _text(data)
     if is_json:

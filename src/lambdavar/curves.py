@@ -265,19 +265,22 @@ class _LazyRC(MonotoneRC):
 
     ``prefix`` holds the columns of the smallest samples, among them every
     sample at or below its last abscissa, with the shares of all n samples.
-    The first read of ``xs``, ``lefts`` or ``values``, or ``repr``, ``==``
-    or ``hash``, builds the rest and turns the curve into a plain
-    ``MonotoneRC``; the lookup hook stays off the class every other curve
-    has, where it would slow each attribute read.  Threads may share the
-    curve: completing it twice builds equal columns, and any read finds
-    them in place once the samples are gone.
+    The samples are the list ``samples`` followed by what each of
+    ``loaders`` returns, in input order.  The first read of ``xs``,
+    ``lefts`` or ``values``, or ``repr``, ``==`` or ``hash``, builds the rest
+    and turns the curve into a plain ``MonotoneRC``; the lookup hook stays
+    off the class every other curve has, where it would slow each attribute
+    read.  Threads may share the curve: completing it twice builds equal
+    columns, each in a list of its own, and any read finds them in place
+    once the samples are gone.
     """
 
-    def __init__(self, prefix: tuple, samples: list):
+    def __init__(self, prefix: tuple, samples: list, loaders=()):
         xs, lefts, values = prefix
         vars(self).update(
             _prefix=SimpleNamespace(xs=xs, lefts=lefts, values=values, tail_left=0.0),
-            _samples=samples, tail_left=0.0, tail_right=1.0, orientation=NONDECREASING,
+            _samples=(samples, loaders), tail_left=0.0, tail_right=1.0,
+            orientation=NONDECREASING,
         )
 
     def __getattr__(self, name):
@@ -290,8 +293,9 @@ class _LazyRC(MonotoneRC):
     def _complete(self):
         """Build all the columns from the samples; the curve is then a MonotoneRC."""
         d = vars(self)
-        samples = d.get("_samples")
-        if samples is not None:  # else another thread has built the columns
+        held = d.get("_samples")
+        if held is not None:  # else another thread has built the columns
+            samples = _joined(*held)
             samples.sort()
             d.update(zip(("xs", "lefts", "values"), _sample_columns(samples, len(samples))))
             d.pop("_prefix", None)
@@ -602,24 +606,53 @@ def from_samples(xs) -> Cdf:
 def _from_floats(xs: list) -> Cdf:
     """``from_samples`` on a fresh list of floats, which the curve owns.
 
-    The list is not copied: it is sorted in place, now or when a lazy curve
-    completes, so the caller must not use it again.
+    The list is not copied: below 1024 samples it is sorted in place, and a
+    lazy curve keeps it, so the caller must not use it again.
     """
     if not xs:
         raise ValueError("no data")
-    if not math.isfinite(sum(xs)) and not all(map(math.isfinite, xs)):
+    if not _all_finite(xs):
         raise ValueError("samples must be finite")
     n = len(xs)
     stride = n >> 10
-    if stride:
-        sample = sorted(xs[::stride])
-        pivot = sample[len(sample) // 50]
-        head = [x for x in xs if x <= pivot]
-        head.sort()
-        if len(head) < n:
-            return Cdf(_LazyRC(_sample_columns(head, n), xs))
-    xs.sort()
-    return Cdf(MonotoneRC._trusted(*_sample_columns(xs, n), 0.0, 1.0))
+    if not stride:
+        return _from_head(xs, n, xs)
+    sample = sorted(xs[::stride])
+    pivot = sample[len(sample) // 50]
+    return _from_head([x for x in xs if x <= pivot], n, xs)
+
+
+def _all_finite(xs) -> bool:
+    """No NaN or infinity in xs: a finite sum proves it at once."""
+    return math.isfinite(sum(xs)) or all(map(math.isfinite, xs))
+
+
+def _from_head(head: list, n: int, samples: list, loaders=()) -> Cdf:
+    """The empirical CDF of n finite samples, lazy from 1024 samples on.
+
+    The samples are the list ``samples`` followed by what each of
+    ``loaders`` returns, in input order.  head holds, in input order, every
+    sample at or below a pivot that is one of them; the stable sort keeps
+    tied -0.0 and 0.0 in that order.  The loaders run when the curve
+    completes, or here if it is built eagerly: below 1024 samples and not
+    all of them in head.  head is sorted in place; a lazy curve keeps
+    samples and never changes it.
+    """
+    if len(head) < n:
+        if n >= 1024:
+            head.sort()
+            return Cdf(_LazyRC(_sample_columns(head, n), samples, loaders))
+        head = _joined(samples, loaders)
+    head.sort()
+    return Cdf(MonotoneRC._trusted(*_sample_columns(head, n), 0.0, 1.0))
+
+
+def _joined(samples: list, loaders) -> list:
+    """A new list: samples, then what each loader returns, in order."""
+    joined = samples.copy()
+    for load in loaders:
+        joined += load()
+    return joined
 
 
 def _sample_columns(xs: list, n: int):

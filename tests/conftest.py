@@ -53,13 +53,13 @@ def revalidate_trusted_curves(monkeypatch):
         assert type(curve) is MonotoneRC
         assert repr(curve) == repr(MonotoneRC(zip(*columns), 0.0, 1.0))
 
-    def recorded(self, prefix, samples):
+    def recorded(self, prefix, samples, loaders=()):
         assert all(type(c) is tuple for c in prefix)
         assert len(set(map(len, prefix))) == 1
         twin = _LazyRC.__new__(_LazyRC)
-        _lazy_init(twin, prefix, list(samples))
+        _lazy_init(twin, prefix, list(samples), loaders)
         completing(twin)
-        _lazy_init(self, prefix, samples)
+        _lazy_init(self, prefix, samples, loaders)
 
     monkeypatch.setattr(MonotoneRC, "_trusted", staticmethod(checked))
     monkeypatch.setattr(_LazyRC, "__init__", recorded)

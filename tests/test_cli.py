@@ -27,6 +27,7 @@ from lambdavar import (
 )
 from lambdavar import cli
 from lambdavar.checks import dy
+from lambdavar.curves import _LazyRC, _sample_columns
 from lambdavar.cli import REPORT_SCHEMA, main, parse_distribution, parse_profile, read_csv_samples
 
 try:
@@ -1267,3 +1268,139 @@ def test_file_digest_hashes_in_chunks(tmp_path, size):
         tracemalloc.stop()
     assert digest == "sha256:" + hashlib.sha256(data).hexdigest()
     assert peak < 3 << 20  # a few chunks, never the whole file
+
+
+# ---------- the lazy curve built in the ranges ----------
+
+
+def zeros_at_the_pivot(n, seed):
+    """n draws: 1.5 % on a grid below -1, 1 % zeros of both signs, the rest
+    above 1, shuffled, so the zeros sit at the 2 % rank and in every range."""
+    rng = random.Random(seed)
+    below, zeros = max(1, n * 3 // 200), max(2, n // 100)
+    values = [rng.randint(-24, -9) / 8 for _ in range(below)]
+    values += [(-0.0, 0.0)[k % 2] for k in range(zeros)]
+    values += [1.0 + rng.randint(1, 40) / 8 for _ in range(n - below - zeros)]
+    rng.shuffle(values)
+    return values
+
+
+def write_values(tmp_path, values, name="data.csv"):
+    path = tmp_path / name
+    path.write_text("value\n" + "".join(f"{v!r}\n" for v in values))
+    return path
+
+
+def file_pivot(path):
+    data = path.read_bytes()
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return cli._pivot(fd, len(b"value\n"), len(data))
+    finally:
+        os.close(fd)
+
+
+def range_count(path, ranges):
+    """How many ranges split_into_ranges(…, ranges) cuts the file into."""
+    return min(ranges, path.stat().st_size - len(b"value\n"))
+
+
+RANGES = [1, 2, 3, 8]
+
+
+class TestRangeBuild:
+    """_load_data builds the lazy curve from each range's head, at a pivot
+    read from the file, and loads a worker's floats only when it completes."""
+
+    @pytest.mark.parametrize("ranges", RANGES)
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 3000])
+    def test_the_curve_is_from_samples(self, tmp_path, monkeypatch, ranges, n):
+        values = zeros_at_the_pivot(n, seed=n)
+        path = write_values(tmp_path, values)
+        assert file_pivot(path) == 0.0  # tied -0.0 and 0.0 at the pivot, in every range
+        forks = split_into_ranges(monkeypatch, ranges)
+        p, _ = cli._load_data(str(path))
+        assert len(forks) == range_count(path, ranges) - 1
+        assert_no_child_left()
+        assert (type(p.payload) is _LazyRC) is (n >= 1024)
+        assert repr(p) == repr(from_samples(values))
+
+    @pytest.mark.parametrize("ranges", [3, 8])
+    def test_the_first_zero_in_a_middle_worker_keeps_its_sign(self, tmp_path, monkeypatch, ranges):
+        # no zero in the first half, -0.0 in the middle, 0.0 in the last tenth:
+        # the breakpoint is the -0.0 of a worker that is not the last
+        values = [1.0 + k / 8 for k in range(3000)]
+        values[1500] = -0.0
+        values[2700::7] = [0.0] * len(values[2700::7])
+        path = write_values(tmp_path, values)
+        forks = split_into_ranges(monkeypatch, ranges)
+        p, _ = cli._load_data(str(path))
+        assert len(forks) == ranges - 1
+        assert repr(p) == repr(from_samples(values))
+        assert repr(p.payload.xs[0]) == "-0.0"
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n", [1024, 1025, 3000])
+    def test_the_prefix_is_the_heads_at_the_file_pivot(self, tmp_path, monkeypatch, n):
+        values = zeros_at_the_pivot(n, seed=n + 1)
+        path = write_values(tmp_path, values)
+        pivot = file_pivot(path)
+        want = repr(_sample_columns(sorted(x for x in values if x <= pivot), n))
+        prefixes = set()
+        for ranges in RANGES:
+            with pytest.MonkeyPatch.context() as mp:
+                split_into_ranges(mp, ranges)
+                prefix = vars(cli._load_data(str(path))[0].payload)["_prefix"]
+            prefixes.add(repr((prefix.xs, prefix.lefts, prefix.values)))
+            assert_no_child_left()
+        assert prefixes == {want}
+
+    @pytest.mark.parametrize("ranges", RANGES[1:])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_a_non_finite_line_in_any_range_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                     ranges, bad):
+        values = [repr(v) for v in zeros_at_the_pivot(1100, seed=5)]
+        split_into_ranges(monkeypatch, ranges)
+        for at in (0, len(values) // 2, len(values) - 1):  # the first, a middle and the last range
+            path = tmp_path / f"bad{at}.csv"
+            path.write_text("value\n" + "".join(f"{v}\n" for v in values[:at] + [bad]
+                                                + values[at + 1:]))
+            code, out, err = run_cli(capsys, "compute", "--data", str(path),
+                                     "--measure", "worst-case")
+            assert (code, out, err) == (2, "", "error: samples must be finite\n")
+            assert_no_child_left()
+
+    @pytest.mark.parametrize("ranges", RANGES)
+    @pytest.mark.parametrize("values", [
+        [1e308] * 1500,
+        [-1e308] * 1500,
+        [1e308] * 2 + [-1e308] * 1500 + [0.5] * 10,
+        [1e308, -1.5e308, 0.5] * 10,  # fewer than 1024: built eagerly
+    ])
+    def test_finite_samples_whose_sum_overflows_build(self, tmp_path, monkeypatch, ranges,
+                                                       values):
+        path = write_values(tmp_path, values)
+        split_into_ranges(monkeypatch, ranges)
+        p, _ = cli._load_data(str(path))
+        assert repr(p) == repr(from_samples(values))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("ranges", RANGES[1:])
+    def test_lambda_var_loads_no_worker_floats(self, tmp_path, monkeypatch, ranges):
+        import marshal
+        from types import SimpleNamespace
+
+        values = zeros_at_the_pivot(5000, seed=9)
+        path = write_values(tmp_path, values)
+        split_into_ranges(monkeypatch, ranges)
+        p, _ = cli._load_data(str(path))
+        loaded = []
+        monkeypatch.setattr(cli, "marshal", SimpleNamespace(
+            loads=lambda blob: loaded.append(blob) or marshal.loads(blob)))
+        profile = step_profile(0.01, 0.05, -1.0)
+        report = lambda_var(p, profile)
+        assert type(p.payload) is _LazyRC and loaded == []
+        assert repr(report) == repr(lambda_var(from_samples(values), profile))
+        assert repr(p) == repr(from_samples(values))  # completes: now every worker's
+        assert len(loaded) == range_count(path, ranges) - 1
+        assert_no_child_left()

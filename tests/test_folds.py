@@ -10,7 +10,8 @@ halving.  ``pointwise_leq`` is ``first_above`` finding nothing, and answers
 as the loop it replaced did.
 ``_check_monotone`` judges the chain of levels in one pass and names the
 error the loop it replaced named.  A lazy curve may be completed by several
-threads at once, and ``repr`` names the completed class mid-swap.
+threads at once, whether it holds its samples as one list or as a list and
+a worker's bytes, and ``repr`` names the completed class mid-swap.
 The wide-span commands and the two check seeds that changed are pinned
 through ``main``.
 """
@@ -362,16 +363,23 @@ def test_check_monotone_on_seeded_chains():
 
 
 THREADS = textwrap.dedent("""
-    import random, sys, threading
-    from lambdavar.curves import MonotoneRC, _sample_columns, from_samples
+    import marshal, random, sys, threading
+    from lambdavar.curves import MonotoneRC, _from_head, _sample_columns, from_samples
+
+    def ranged(xs):
+        # as the CSV reader builds it: three ranges, two kept as a worker's marshal bytes
+        parts = [xs[:1500], xs[1500:3500], xs[3500:]]
+        pivot = sorted(xs)[len(xs) // 50]
+        loaders = [lambda blob=marshal.dumps(part): marshal.loads(blob) for part in parts[1:]]
+        return _from_head([x for x in xs if x <= pivot], len(xs), parts[0], loaders)
 
     sys.setswitchinterval(1e-6)
     rng = random.Random(3)
     failures = []
-    for _ in range(100):
+    for k in range(100):
         xs = [rng.gauss(0.0, 1.0) for _ in range(5000)]
         want = repr(MonotoneRC(zip(*_sample_columns(sorted(xs), len(xs))), 0.0, 1.0))
-        curve = from_samples(xs).payload
+        curve = (ranged(xs) if k % 2 else from_samples(xs)).payload
         assert type(curve).__name__ == "_LazyRC"
 
         def read():

@@ -438,9 +438,9 @@ def test_compute_lambda_var_never_completes_the_curve(tmp_path, monkeypatch, cap
     built = []
     init = _LazyRC.__init__
 
-    def counted(self, prefix, samples):
+    def counted(self, prefix, *held):
         built.append(len(prefix[0]))
-        init(self, prefix, samples)
+        init(self, prefix, *held)
 
     monkeypatch.setattr(_LazyRC, "__init__", counted)
     monkeypatch.setattr(_LazyRC, "_complete", refuse_completion)
