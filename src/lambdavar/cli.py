@@ -169,12 +169,8 @@ def _pivot(fd: int, start: int, end: int):
 
 
 def _held(parts):
-    """The caller's own floats and a loader for each worker's."""
-    return parts[0][0], [_loader(blob) for blob, *_ in parts[1:]]
-
-
-def _loader(blob: bytes):
-    return lambda: marshal.loads(blob)
+    """The caller's own floats and, for each worker, a loader of its bytes."""
+    return parts[0][0], [lambda blob=blob: marshal.loads(blob) for blob, *_ in parts[1:]]
 
 
 def _from_ranges(parts, n: int) -> Cdf:

@@ -297,6 +297,9 @@ class _LazyRC(MonotoneRC):
         if held is not None:  # else another thread has built the columns
             samples = _joined(*held)
             samples.sort()
+            # the sorted list, which nothing changes again, replaces the inputs,
+            # so they are freed before the columns are built
+            d["_samples"] = held = (samples, ())
             d.update(zip(("xs", "lefts", "values"), _sample_columns(samples, len(samples))))
             d.pop("_prefix", None)
             d.pop("_samples", None)
@@ -639,7 +642,7 @@ def _from_head(head: list, n: int, samples: list, loaders=()) -> Cdf:
     samples and never changes it.
     """
     if len(head) < n:
-        if n >= 1024:
+        if n >= 1024 and head:  # empty if a file changed after its pivot was read
             head.sort()
             return Cdf(_LazyRC(_sample_columns(head, n), samples, loaders))
         head = _joined(samples, loaders)

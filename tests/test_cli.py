@@ -1,5 +1,6 @@
 import hashlib
 import json
+import marshal
 import math
 import os
 import random
@@ -9,6 +10,7 @@ import threading
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -1355,6 +1357,19 @@ class TestRangeBuild:
             assert_no_child_left()
         assert prefixes == {want}
 
+    @pytest.mark.parametrize("ranges", RANGES)
+    @pytest.mark.parametrize("pivot", [-1e300, math.nan])
+    def test_a_pivot_that_is_no_longer_a_sample(self, tmp_path, monkeypatch, ranges, pivot):
+        # the file changed between the pivot's read and the parse: no head
+        values = zeros_at_the_pivot(3000, seed=4)
+        path = write_values(tmp_path, values)
+        split_into_ranges(monkeypatch, ranges)
+        monkeypatch.setattr(cli, "_pivot", lambda fd, start, end: pivot)
+        p, _ = cli._load_data(str(path))
+        assert type(p.payload) is not _LazyRC
+        assert repr(p) == repr(from_samples(values))
+        assert_no_child_left()
+
     @pytest.mark.parametrize("ranges", RANGES[1:])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_a_non_finite_line_in_any_range_exits_2(self, tmp_path, monkeypatch, capsys,
@@ -1387,9 +1402,6 @@ class TestRangeBuild:
 
     @pytest.mark.parametrize("ranges", RANGES[1:])
     def test_lambda_var_loads_no_worker_floats(self, tmp_path, monkeypatch, ranges):
-        import marshal
-        from types import SimpleNamespace
-
         values = zeros_at_the_pivot(5000, seed=9)
         path = write_values(tmp_path, values)
         split_into_ranges(monkeypatch, ranges)
