@@ -275,7 +275,7 @@ class _LazyRC(MonotoneRC):
     once the samples are gone.
     """
 
-    def __init__(self, prefix: tuple, samples: list, loaders=()):
+    def __init__(self, prefix: tuple, samples: list, loaders):
         xs, lefts, values = prefix
         vars(self).update(
             _prefix=SimpleNamespace(xs=xs, lefts=lefts, values=values, tail_left=0.0),
@@ -297,8 +297,8 @@ class _LazyRC(MonotoneRC):
         if held is not None:  # else another thread has built the columns
             samples = _joined(*held)
             samples.sort()
-            # the sorted list, which nothing changes again, replaces the inputs,
-            # so they are freed before the columns are built
+            # the sorted list, which nothing changes again, replaces the inputs
+            # here and in held, so they are freed before the columns are built
             d["_samples"] = held = (samples, ())
             d.update(zip(("xs", "lefts", "values"), _sample_columns(samples, len(samples))))
             d.pop("_prefix", None)

@@ -53,7 +53,7 @@ def revalidate_trusted_curves(monkeypatch):
         assert type(curve) is MonotoneRC
         assert repr(curve) == repr(MonotoneRC(zip(*columns), 0.0, 1.0))
 
-    def recorded(self, prefix, samples, loaders=()):
+    def recorded(self, prefix, samples, loaders):
         assert all(type(c) is tuple for c in prefix)
         assert len(set(map(len, prefix))) == 1
         twin = _LazyRC.__new__(_LazyRC)

@@ -381,8 +381,8 @@ def prefix_of(p):
 
 class TestOwnership:
     """``from_samples`` copies the caller's list; ``_from_floats``, which the
-    CLI hands its freshly parsed list, builds the same curve from the list
-    itself."""
+    CLI hands its freshly parsed list when it reads no pivot from the file,
+    builds the same curve from the list itself."""
 
     @given(sample_lists(ANY_SIZE))
     def test_from_samples_leaves_the_callers_list_alone(self, xs):
