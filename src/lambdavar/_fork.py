@@ -1,10 +1,14 @@
-"""The one place the package forks and ends processes: a job's later chunks
-run in workers, and a CLI run leaves without interpreter teardown.
+"""The one place the package forks and ends processes: a job's chunks are
+shared with forked workers, and a CLI run leaves without interpreter teardown.
 
-A worker sends its result back through a pipe with marshal, so a result is
-built of floats, ints, bools, None, str, bytes, tuples and lists, and every
-float comes back bit for bit.  Nothing forks while a second thread is alive,
-since a fork copies only the calling thread.
+The caller runs chunk 0 first.  The index of every later chunk waits in a
+pipe filled before the fork, and the caller and each worker take one index
+at a time until the pipe is empty, so a process that the host slows takes
+fewer chunks (self-scheduling).  A worker appends each result with marshal
+to one memory file opened before the fork, so a result is built of floats,
+ints, bools, None, str, bytes, tuples and lists, and every float comes back
+bit for bit.  Nothing forks while a second thread is alive, since a fork
+copies only the calling thread.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ import marshal
 import os
 import sys
 
-_MAX_CHUNKS = 8
+_MAX_PROCESSES = 8
+_TOKEN = 4  # bytes of a chunk index in the pipe
+_HEADER = 8  # bytes of a record's length in the file
 
 
 def _can_fork() -> bool:
@@ -24,8 +30,8 @@ def _can_fork() -> bool:
     return threading.active_count() == 1
 
 
-def chunk_count() -> int:
-    """How many chunks to cut a job into: one per usable CPU, at most 8, or 1
+def process_count() -> int:
+    """How many processes may share a job: one per usable CPU, at most 8, or 1
     where nothing may fork."""
     if not _can_fork():
         return 1
@@ -33,68 +39,122 @@ def chunk_count() -> int:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(_MAX_CHUNKS, cpus)
+    return min(_MAX_PROCESSES, cpus)
 
 
 def map_chunks(fn, chunks) -> list | None:
-    """[fn(chunk) for chunk in chunks]: chunk 0 here, each later one in a forked worker.
+    """[fn(chunk) for chunk in chunks]: chunk 0 here, then each later one here
+    or in one of up to process_count() - 1 forked workers, whichever takes it.
 
-    None if a worker fails or an OSError stops the job here (no pipe, no
-    process); the caller then does the whole job itself, and so raises
-    whatever error the job really has.  Every worker is reaped before this
-    returns, and killed first if fn raised here.  With one chunk, or where
-    nothing may fork, every chunk runs here.
+    None if fn raises or a worker fails, or an OSError stops the job here (no
+    pipe, no file, no process); the caller then does the whole job itself,
+    and so raises whatever error the job really has.  Every worker is reaped
+    before this returns, and killed first if the job stopped here.  With one
+    chunk, or where nothing may fork, every chunk runs here.
     """
-    if len(chunks) < 2 or not _can_fork():
+    workers = min(process_count(), len(chunks)) - 1
+    if workers < 1:
         return [fn(chunk) for chunk in chunks]
-    pids, pipes, sent = [], [], []
+    pids, fds, results = [], [], None
     try:
-        for chunk in chunks[1:]:
-            r, w = os.pipe()
-            pipes.append(r)
-            try:
+        try:
+            out = _result_file()
+            fds.append(out)
+            deal, w = os.pipe()
+            fds += [deal, w]
+            os.set_blocking(w, False)  # a full pipe raises here; nothing would empty it
+            tokens = b"".join(k.to_bytes(_TOKEN, "little") for k in range(1, len(chunks)))
+            if os.write(w, tokens) < len(tokens):
+                raise OSError("more chunks than the pipe holds")
+            os.close(fds.pop())  # no writer is left, so a read of the empty pipe ends
+            for _ in range(workers):
                 pid = os.fork()
                 if pid == 0:
-                    _work(fn, chunk, w, pipes)
-            finally:
-                os.close(w)
-            pids.append(pid)
-        mine = fn(chunks[0])
-        for r in pipes:
-            with open(r, "rb", closefd=False) as pipe:
-                sent.append(pipe.read())
-    except BaseException as exc:
-        import signal
+                    _work(fn, chunks, deal, out)
+                pids.append(pid)
+            results = {0: fn(chunks[0])}
+            for k in _claims(deal):
+                results[k] = fn(chunks[k])
+        except BaseException as exc:
+            import signal
 
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        if not isinstance(exc, OSError):
-            raise
-        sent = None
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            results = None
+            if not isinstance(exc, Exception):
+                raise
+        finally:
+            if any([os.waitpid(pid, 0)[1] for pid in pids]):  # a list: reap every one
+                results = None
+        if results is None:
+            return None
+        results.update(_records(out))
+        return [results[k] for k in range(len(chunks))]
     finally:
-        for r in pipes:
-            os.close(r)
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    if sent is None or any(statuses):
-        return None
-    return [mine, *map(marshal.loads, sent)]
+        for fd in fds:
+            os.close(fd)
 
 
-def _work(fn, chunk, w: int, pipes) -> None:
-    """A forked worker: write fn(chunk) to w with marshal, and leave.
+def _result_file() -> int:
+    """A file for the workers' records, in memory where os has memfd_create.
 
-    A worker whose caller has died gets BrokenPipeError at the write.
+    It is opened to append: processes that write through one shared offset
+    would overwrite each other's records, since Linux does not lock the
+    offset of a memfd, while each write to append lands whole at the end.
+    """
+    if hasattr(os, "memfd_create"):
+        fd = os.memfd_create("map_chunks")
+    else:
+        import tempfile
+
+        with tempfile.TemporaryFile() as fh:
+            fd = os.dup(fh.fileno())
+    import fcntl
+
+    fcntl.fcntl(fd, fcntl.F_SETFL, os.O_APPEND)
+    return fd
+
+
+def _claims(deal: int):
+    """The chunk indices this process takes from the pipe, one at a time,
+    until it is empty."""
+    while token := os.read(deal, _TOKEN):
+        yield int.from_bytes(token, "little")
+
+
+def _work(fn, chunks, deal: int, out: int) -> None:
+    """A forked worker: for each index k it takes, append fn(chunks[k]) to out
+    as a length and the marshal bytes of (k, result), and leave.
+
+    A short write cuts a record, so it fails the worker like a raise does.
     """
     status = 1
     try:
-        for r in pipes:
-            os.close(r)
-        data = marshal.dumps(fn(chunk))
-        with open(w, "wb") as pipe:
-            pipe.write(data)
+        for k in _claims(deal):
+            record = marshal.dumps((k, fn(chunks[k])))
+            header = len(record).to_bytes(_HEADER, "little")
+            if os.writev(out, (header, record)) < _HEADER + len(record):
+                return
         status = 0
     finally:
         os._exit(status)
+
+
+def _records(out: int) -> dict:
+    """{k: result} of each record in the file, decoded from a map of it."""
+    size = os.fstat(out).st_size
+    if not size:  # this process took every chunk
+        return {}
+    import mmap
+
+    records, pos = {}, 0
+    with mmap.mmap(out, size, access=mmap.ACCESS_READ) as mapped, memoryview(mapped) as data:
+        while pos < size:
+            end = pos + _HEADER + int.from_bytes(data[pos:pos + _HEADER], "little")
+            k, result = marshal.loads(data[pos + _HEADER:end])
+            records[k] = result
+            pos = end
+    return records
 
 
 def leave(code: int):

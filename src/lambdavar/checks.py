@@ -28,12 +28,15 @@ import math
 import random
 
 from . import curves, profiles
-from ._fork import chunk_count, map_chunks
+from ._fork import map_chunks, process_count
 from .curves import Cdf, _Record, from_samples, mixture, truncate_left, uniform
 from .measures import lambda_var, value_at_risk, worst_case
 from .profiles import LossProfile, constant_profile, piecewise_profile, step_profile
 
 GRAIN = 64
+# The trials' cost varies, so each process takes several chunks in turn
+# rather than one fixed share.
+_CHUNKS_PER_PROCESS = 4
 
 
 def dy(rng: random.Random, lo: float, hi: float) -> float:
@@ -137,13 +140,14 @@ def _tally(name: str, trials: int, seed: int, draw, judge, *counts: str) -> Suit
 
     A verdict is (violations, residual, *one number per name in counts).  The
     result sums the violations and each count, and takes the worst residual.
-    The cases are judged in one contiguous chunk per usable CPU, the later
-    chunks in forked workers.  If a worker fails, every case is judged here,
-    so an error is the one a serial run raises.
+    The cases are judged in _CHUNKS_PER_PROCESS contiguous chunks per usable
+    CPU, which this process and forked workers take in turn as each finishes
+    one.  If a case raises or a worker fails, every case is judged here, so
+    an error is the one a serial run raises.
     """
     rng = random.Random(seed)
     cases = [draw(rng) for _ in range(trials)]
-    n = min(chunk_count(), len(cases))
+    n = min(_CHUNKS_PER_PROCESS * process_count(), len(cases))
     chunks = [cases[len(cases) * k // n:len(cases) * (k + 1) // n] for k in range(n)]
     parts = map_chunks(lambda chunk: [judge(*case) for case in chunk], chunks)
     if parts is None:

@@ -25,7 +25,7 @@ import stat
 import sys
 from itertools import chain
 
-from ._fork import chunk_count, leave, map_chunks
+from ._fork import leave, map_chunks, process_count
 from .curves import (
     Cdf, _all_finite, _from_floats, _from_head, _interp, _joined, dirac, from_samples,
     mixture, piecewise_cdf, uniform,
@@ -73,8 +73,9 @@ REPORT_SCHEMA = {
 # ---------- input parsing ----------
 
 
-# Each range holds at least _RANGE_BYTES, so a file of a few 10^4 lines stays
-# in one range and is parsed without a fork.
+# A file is cut into ranges only when its body holds at least 2 * _RANGE_BYTES,
+# so a file of a few 10^4 lines is parsed here without a fork.  A cut file has
+# a range per usable CPU or of about _BLOCK_BYTES each, whichever gives more.
 _RANGE_BYTES = 2 << 20
 _BLOCK_BYTES = 1 << 20
 # The lazy curve's pivot is read from _PIVOT_LINES lines of the file, each
@@ -86,12 +87,11 @@ _LINE_BYTES = 256
 def read_csv_samples(path: str):
     """The samples of a CSV file: one number per line, an optional header.
 
-    A regular file is cut at newlines into one byte range per usable CPU, at
-    most 8 and each at least _RANGE_BYTES.  The first range is parsed here
-    and each later one in a worker forked by _fork.map_chunks, which sends
-    its floats back bit for bit.  A small file, a single CPU, a live second
-    thread or a platform without fork means one range, parsed here.  A block
-    that float() refuses is parsed again without its empty lines.  If float()
+    A regular file is parsed in byte ranges, which this process and workers
+    forked by _fork.map_chunks take in turn; a worker sends its floats back
+    bit for bit.  A small file, a single CPU, a live second thread or a
+    platform without fork means one range, parsed here.  A block that
+    float() refuses is parsed again without its empty lines.  If float()
     still refuses a piece in any range (a line of spaces or a lone carriage
     return, a byte that is not ASCII, a separator that str.strip() removes
     and float() keeps), or a worker fails, the whole file goes to the
@@ -100,20 +100,22 @@ def read_csv_samples(path: str):
     """
     with open(path, "rb") as fh:
         parts = _read_regular(fh.fileno())
-        return parts and _joined(*_held(parts)) or _parse_lines(path, _text(fh.read()))
+        return parts and _joined(_held(parts)) or _parse_lines(path, _text(fh.read()))
 
 
 def _read_regular(fd: int, digest=None):
     """The parsed ranges of a regular file, or None for the line loop.
 
-    Each range gives (samples, count, finite, head), in file order: its
-    floats, how many there are, whether all are finite, and, in input
-    order, those at or below the pivot that _pivot reads from the file
-    (None if it finds none).  Each range does this work where it is parsed.
-    The caller's own floats stay a list; a worker's stay the marshal bytes
-    it sent until _held's loader reads them.  With a digest, the caller
-    feeds it the file's bytes up to the size that the ranges were cut from,
-    after its own range and while the workers parse theirs.
+    The body is cut at byte offsets, and each range parses the lines that
+    start in it: it finds its own first line start, and reads its last line
+    to its end.  Each range gives (samples, count, finite, head), in file
+    order: its floats, how many there are, whether all are finite, and,
+    sorted stably, those at or below the pivot that _pivot reads from the
+    file (None if it finds none).  Each range does this work where it is
+    parsed.  Floats parsed here stay a list; a worker's stay the marshal
+    bytes it sent until _held's loader reads them.  With a digest, this
+    process first feeds it the file's bytes up to the size that the ranges
+    were cut from, while the workers parse, and then takes ranges too.
     """
     st = os.fstat(fd)
     if not (hasattr(os, "pread") and stat.S_ISREG(st.st_mode)):
@@ -123,23 +125,31 @@ def _read_regular(fd: int, digest=None):
     # A lone \r ends a line in text mode: after one, the word is on line 2.
     is_header = newline and first.rstrip().lstrip(b" \t\v\f").lower() == b"value"
     skip = len(first) + 1 if is_header else 0
-    n = min(chunk_count(), (size - skip) // _RANGE_BYTES)
+    body = size - skip
+    n = min(process_count(), body // _RANGE_BYTES)
+    n = max(n, body // _BLOCK_BYTES) if n > 1 else 1
+    here = os.getpid()
 
     def parse(span):
-        samples = _parse_range(fd, *span)
-        mine = span is ranges[0]  # here, not in a worker
-        if digest is not None and mine:
-            _hash_upto(fd, size, digest)
-        head = None if pivot is None else [x for x in samples if x <= pivot]
-        return (samples if mine else marshal.dumps(samples), len(samples),
+        if span is None:  # chunk 0, which runs here first
+            if digest is not None:
+                _hash_upto(fd, size, digest)
+            return None
+        start, end = (_line_start(fd, pos) if skip < pos < size else pos for pos in span)
+        samples = _parse_range(fd, start, end)
+        head = None
+        if pivot is not None:
+            head = [x for x in samples if x <= pivot]
+            head.sort()
+        return (samples if os.getpid() == here else marshal.dumps(samples), len(samples),
                 _all_finite(samples), head)
 
     try:
         pivot = _pivot(fd, skip, size)
-        cuts = (_line_start(fd, skip + (size - skip) * k // n) for k in range(1, n))
-        bounds = [skip, *cuts, size]
-        ranges = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-        return map_chunks(parse, ranges) or None
+        cuts = [skip + body * k // n for k in range(n + 1)]
+        chunks = [None, *zip(cuts, cuts[1:])]
+        parts = map_chunks(parse, chunks) if n > 1 else list(map(parse, chunks))
+        return parts and parts[1:]
     except (ValueError, OSError):
         return None
 
@@ -168,9 +178,10 @@ def _pivot(fd: int, start: int, end: int):
     return sample[len(sample) // 50] if sample else None
 
 
-def _held(parts):
-    """The caller's own floats and, for each worker, a loader of its bytes."""
-    return parts[0][0], [lambda blob=blob: marshal.loads(blob) for blob, *_ in parts[1:]]
+def _held(parts) -> list:
+    """Each range's floats: its list, or a loader of a worker's bytes."""
+    return [samples if type(samples) is list else lambda blob=samples: marshal.loads(blob)
+            for samples, *_ in parts]
 
 
 def _from_ranges(parts, n: int) -> Cdf:
@@ -183,9 +194,9 @@ def _from_ranges(parts, n: int) -> Cdf:
     if not all(finite for _, _, finite, _ in parts):
         raise ValueError("samples must be finite")
     if parts[0][3] is None:
-        return _from_floats(_joined(*_held(parts)))
+        return _from_floats(_joined(_held(parts)))
     head = list(chain.from_iterable(head for *_, head in parts))
-    return _from_head(head, n, *_held(parts))
+    return _from_head(head, n, _held(parts))
 
 
 def _hash_upto(fd: int, size: int, digest) -> None:
@@ -203,13 +214,17 @@ def _pread(fd: int, want: int, pos: int) -> bytes:
 
 
 def _line_start(fd: int, pos: int) -> int:
-    """The first line start at or after pos > 0 within a block, or the end of file."""
-    block = os.pread(fd, _BLOCK_BYTES, pos - 1)
-    nl = block.find(b"\n")
-    if nl >= 0:
-        return pos + nl
-    if len(block) < _BLOCK_BYTES:
-        return pos - 1 + len(block)
+    """The first line start at or after pos > 0 within a block, or the end of file.
+
+    A line is most often short, so the first read is of _LINE_BYTES only.
+    """
+    for want in (_LINE_BYTES, _BLOCK_BYTES):
+        block = os.pread(fd, want, pos - 1)
+        nl = block.find(b"\n")
+        if nl >= 0:
+            return pos + nl
+        if len(block) < want:
+            return pos - 1 + len(block)
     raise ValueError("a line longer than a block")
 
 
@@ -309,7 +324,21 @@ def _parse_json(path: str, text: str, parse, finite: bool = False):
         raise ValueError(f"{path}: number out of float range") from None
 
 
+# The distribution that _load_data returned last.  A CLI run leaves through
+# _fork.leave without freeing it, which would cost milliseconds per 10^5
+# samples; each load drops the last one first, so in-process runs hold one.
+_loaded = None
+
+
 def _load_data(path: str):
+    """The distribution in --data, kept in _loaded, and its digest (_read_data)."""
+    global _loaded
+    _loaded = None
+    _loaded, digest = _read_data(path)
+    return _loaded, digest
+
+
+def _read_data(path: str):
     """The distribution in --data and the SHA-256 of the bytes it was parsed from.
 
     Each byte is read once.  A regular CSV file is hashed by the byte-range

@@ -265,21 +265,21 @@ class _LazyRC(MonotoneRC):
 
     ``prefix`` holds the columns of the smallest samples, among them every
     sample at or below its last abscissa, with the shares of all n samples.
-    The samples are the list ``samples`` followed by what each of
-    ``loaders`` returns, in input order.  The first read of ``xs``,
-    ``lefts`` or ``values``, or ``repr``, ``==`` or ``hash``, builds the rest
-    and turns the curve into a plain ``MonotoneRC``; the lookup hook stays
-    off the class every other curve has, where it would slow each attribute
-    read.  Threads may share the curve: completing it twice builds equal
+    The samples are those of ``parts`` in input order: each part is a list,
+    or a loader that returns one, such as a CSV range that a worker parsed.
+    The first read of ``xs``, ``lefts`` or ``values``, or ``repr``, ``==``
+    or ``hash``, joins the parts into a new list, builds the rest and turns
+    the curve into a plain ``MonotoneRC``; the lookup hook stays off the
+    class every other curve has, where it would slow each attribute read.  Threads may share the curve: completing it twice builds equal
     columns, each in a list of its own, and any read finds them in place
     once the samples are gone.
     """
 
-    def __init__(self, prefix: tuple, samples: list, loaders):
+    def __init__(self, prefix: tuple, parts: list):
         xs, lefts, values = prefix
         vars(self).update(
             _prefix=SimpleNamespace(xs=xs, lefts=lefts, values=values, tail_left=0.0),
-            _samples=(samples, loaders), tail_left=0.0, tail_right=1.0,
+            _samples=parts, tail_left=0.0, tail_right=1.0,
             orientation=NONDECREASING,
         )
 
@@ -295,11 +295,11 @@ class _LazyRC(MonotoneRC):
         d = vars(self)
         held = d.get("_samples")
         if held is not None:  # else another thread has built the columns
-            samples = _joined(*held)
+            samples = _joined(held)
             samples.sort()
             # the sorted list, which nothing changes again, replaces the inputs
             # here and in held, so they are freed before the columns are built
-            d["_samples"] = held = (samples, ())
+            d["_samples"] = held = [samples]
             d.update(zip(("xs", "lefts", "values"), _sample_columns(samples, len(samples))))
             d.pop("_prefix", None)
             d.pop("_samples", None)
@@ -619,10 +619,10 @@ def _from_floats(xs: list) -> Cdf:
     n = len(xs)
     stride = n >> 10
     if not stride:
-        return _from_head(xs, n, xs)
+        return _from_head(xs, n, [xs])
     sample = sorted(xs[::stride])
     pivot = sample[len(sample) // 50]
-    return _from_head([x for x in xs if x <= pivot], n, xs)
+    return _from_head([x for x in xs if x <= pivot], n, [xs])
 
 
 def _all_finite(xs) -> bool:
@@ -630,31 +630,31 @@ def _all_finite(xs) -> bool:
     return math.isfinite(sum(xs)) or all(map(math.isfinite, xs))
 
 
-def _from_head(head: list, n: int, samples: list, loaders=()) -> Cdf:
+def _from_head(head: list, n: int, parts: list) -> Cdf:
     """The empirical CDF of n finite samples, lazy from 1024 samples on.
 
-    The samples are the list ``samples`` followed by what each of
-    ``loaders`` returns, in input order.  head holds, in input order, every
-    sample at or below a pivot that is one of them; the stable sort keeps
-    tied -0.0 and 0.0 in that order.  The loaders run when the curve
-    completes, or here if it is built eagerly: below 1024 samples and not
-    all of them in head.  head is sorted in place; a lazy curve keeps
-    samples and never changes it.
+    The samples are those of ``parts``, each a list or a loader that returns
+    one, in input order.  head holds every sample at or below a pivot that
+    is one of them, in input order or as sorted runs in input order; the
+    stable sort merges the runs and keeps tied -0.0 and 0.0 in that order.
+    The loaders run when the curve completes, or here if it is built
+    eagerly: below 1024 samples and not all of them in head.  head is sorted
+    in place; a lazy curve keeps parts and never changes them.
     """
     if len(head) < n:
         if n >= 1024 and head:  # empty if a file changed after its pivot was read
             head.sort()
-            return Cdf(_LazyRC(_sample_columns(head, n), samples, loaders))
-        head = _joined(samples, loaders)
+            return Cdf(_LazyRC(_sample_columns(head, n), parts))
+        head = _joined(parts)
     head.sort()
     return Cdf(MonotoneRC._trusted(*_sample_columns(head, n), 0.0, 1.0))
 
 
-def _joined(samples: list, loaders) -> list:
-    """A new list: samples, then what each loader returns, in order."""
-    joined = samples.copy()
-    for load in loaders:
-        joined += load()
+def _joined(parts: list) -> list:
+    """A new list: the samples of each part, a list or a loader, in order."""
+    joined = []
+    for part in parts:
+        joined += part() if callable(part) else part
     return joined
 
 

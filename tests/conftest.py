@@ -53,13 +53,13 @@ def revalidate_trusted_curves(monkeypatch):
         assert type(curve) is MonotoneRC
         assert repr(curve) == repr(MonotoneRC(zip(*columns), 0.0, 1.0))
 
-    def recorded(self, prefix, samples, loaders):
+    def recorded(self, prefix, parts):
         assert all(type(c) is tuple for c in prefix)
         assert len(set(map(len, prefix))) == 1
         twin = _LazyRC.__new__(_LazyRC)
-        _lazy_init(twin, prefix, list(samples), loaders)
+        _lazy_init(twin, prefix, [part if callable(part) else list(part) for part in parts])
         completing(twin)
-        _lazy_init(self, prefix, samples, loaders)
+        _lazy_init(self, prefix, parts)
 
     monkeypatch.setattr(MonotoneRC, "_trusted", staticmethod(checked))
     monkeypatch.setattr(_LazyRC, "__init__", recorded)

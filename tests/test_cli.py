@@ -4,6 +4,7 @@ import marshal
 import math
 import os
 import random
+import select
 import subprocess
 import sys
 import threading
@@ -27,7 +28,7 @@ from lambdavar import (
     value_at_risk,
     worst_case,
 )
-from lambdavar import cli
+from lambdavar import _fork, cli
 from lambdavar.checks import dy
 from lambdavar.curves import _LazyRC, _sample_columns
 from lambdavar.cli import REPORT_SCHEMA, main, parse_distribution, parse_profile, read_csv_samples
@@ -835,7 +836,7 @@ class TestStreamingCsv:
     def test_clean_split_files_never_reach_the_line_loop(self, tmp_path, monkeypatch, data):
         forks = split_into_ranges(monkeypatch)
         self.test_clean_files_never_reach_the_line_loop(tmp_path, monkeypatch, data)
-        assert len(forks) == 1
+        assert len(forks) == 3  # four ranges of the body's bytes, two of them without a line
         assert_no_child_left()
 
     BLANK = [b"value\n1\n-2.5\n\n", b"value\n1\n\n-2.5\n", b"value\n\n1\n-2.5\n",
@@ -914,6 +915,24 @@ def split_into_ranges(monkeypatch, cpus=4):
     return forks
 
 
+def wait_to_claim(monkeypatch, where, signal):
+    """Make `where`, "caller" or "workers", wait for a byte on the fd signal,
+    at most 60 s, before it takes its first chunk from map_chunks' pipe.
+
+    Which process takes which chunk is a race; this decides it for a test.
+    """
+    caller = os.getpid()
+    claims = _fork._claims
+
+    def waiting(deal):
+        if (os.getpid() == caller) == (where == "caller"):
+            assert select.select([signal], [], [], 60)[0]
+            os.read(signal, 1)
+        return claims(deal)
+
+    monkeypatch.setattr(_fork, "_claims", waiting)
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -980,9 +999,12 @@ class TestRangeReader:
         parse_range = cli._parse_range
         parse_lines = cli._parse_lines
         ran = []
+        failed, failing_now = os.pipe()
+        wait_to_claim(monkeypatch, "caller", failed)  # a worker takes a range and fails first
 
         def failing(fd, start, end):
             if os.getpid() != caller:
+                os.write(failing_now, b"x")
                 os._exit(1)
             return parse_range(fd, start, end)
 
@@ -999,19 +1021,16 @@ class TestRangeReader:
             assert csv_outcome(read_csv_samples, path) == csv_outcome(read_csv_split, path)
             assert ran == [str(path)]
             assert_no_child_left()
+            while select.select([failed], [], [], 0)[0]:  # so the next file waits again
+                os.read(failed, 64)
         assert forks
+        os.close(failed)
+        os.close(failing_now)
 
     def test_a_bad_line_here_kills_a_slow_worker(self, tmp_path, monkeypatch):
         forks = split_into_ranges(monkeypatch, cpus=2)
-        caller = os.getpid()
-        parse_range = cli._parse_range
-
-        def slow(fd, start, end):
-            if os.getpid() != caller:
-                time.sleep(60)
-            return parse_range(fd, start, end)
-
-        monkeypatch.setattr(cli, "_parse_range", slow)
+        never, _ = pipe = os.pipe()
+        wait_to_claim(monkeypatch, "workers", never)  # 60 s before the worker takes a range
         path = tmp_path / "data.csv"
         path.write_bytes(b"nope\n1\n2\n3\n4\n5\n")
         started = time.monotonic()
@@ -1020,6 +1039,8 @@ class TestRangeReader:
         assert time.monotonic() - started < 30
         assert forks
         assert_no_child_left()
+        for fd in pipe:
+            os.close(fd)
 
 
 class TestNoFork:
@@ -1238,17 +1259,15 @@ def test_digest_stops_at_the_size_the_ranges_were_cut_from(tmp_path, monkeypatch
     data = b"value\n" + b"".join(b"%r\n" % v for v in values)
     path = tmp_path / "data.csv"
     path.write_bytes(data)
-    caller = os.getpid()
-    parse_range = cli._parse_range
+    hash_upto = cli._hash_upto
     appended = []
 
-    def appending(fd, start, end):
-        if os.getpid() == caller and not appended:
-            with open(path, "ab") as fh:
-                appended.append(fh.write(b"99\n"))
-        return parse_range(fd, start, end)
+    def appending(fd, size, digest):  # chunk 0, here, while workers may parse
+        with open(path, "ab") as fh:
+            appended.append(fh.write(b"99\n"))
+        hash_upto(fd, size, digest)
 
-    monkeypatch.setattr(cli, "_parse_range", appending)
+    monkeypatch.setattr(cli, "_hash_upto", appending)
     p, digest = cli._load_data(str(path))
     assert appended and path.read_bytes() == data + b"99\n"
     assert digest == "sha256:" + hashlib.sha256(data).hexdigest()
@@ -1405,6 +1424,16 @@ class TestRangeBuild:
         values = zeros_at_the_pivot(5000, seed=9)
         path = write_values(tmp_path, values)
         split_into_ranges(monkeypatch, ranges)
+        caller = os.getpid()
+        parse_range = cli._parse_range
+        here = []
+
+        def recorded(fd, start, end):
+            if os.getpid() == caller:
+                here.append((start, end))
+            return parse_range(fd, start, end)
+
+        monkeypatch.setattr(cli, "_parse_range", recorded)
         p, _ = cli._load_data(str(path))
         loaded = []
         monkeypatch.setattr(cli, "marshal", SimpleNamespace(
@@ -1414,5 +1443,60 @@ class TestRangeBuild:
         assert type(p.payload) is _LazyRC and loaded == []
         assert repr(report) == repr(lambda_var(from_samples(values), profile))
         assert repr(p) == repr(from_samples(values))  # completes: now every worker's
-        assert len(loaded) == range_count(path, ranges) - 1
+        assert len(loaded) == range_count(path, ranges) - len(here)
         assert_no_child_left()
+
+    @pytest.mark.parametrize("where", ["here", "worker"])
+    def test_a_bad_value_in_the_last_range_gives_the_line_loops_message(
+        self, tmp_path, monkeypatch, where
+    ):
+        values = [repr(v) for v in zeros_at_the_pivot(3000, seed=6)]
+        path = tmp_path / "data.csv"
+        path.write_text("value\n" + "".join(f"{v}\n" for v in values[:-1]) + "nope\n")
+        size = path.stat().st_size
+        forks = split_into_ranges(monkeypatch, cpus=3)
+        signal, signalling = pipe = os.pipe()
+        if where == "here":  # the workers take no range within 60 s
+            wait_to_claim(monkeypatch, "workers", signal)
+        else:  # this process takes no range before a worker takes the last one
+            wait_to_claim(monkeypatch, "caller", signal)
+            parse_range = cli._parse_range
+
+            def parse_range_and_tell(fd, start, end):
+                if end == size:
+                    os.write(signalling, b"x")
+                return parse_range(fd, start, end)
+
+            monkeypatch.setattr(cli, "_parse_range", parse_range_and_tell)
+        started = time.monotonic()
+        with pytest.raises(ValueError, match=r"data.csv:3001: not a number: 'nope'$"):
+            cli._load_data(str(path))
+        assert time.monotonic() - started < 30
+        assert len(forks) == 2
+        assert_no_child_left()
+        for fd in pipe:
+            os.close(fd)
+
+    def test_random_delays_in_the_ranges_give_one_curve(self, tmp_path, monkeypatch):
+        import corpus
+
+        path = tmp_path / corpus.RANGED
+        path.write_text(corpus.inputs()[corpus.RANGED])
+        want = repr(from_samples(read_csv_samples(str(path))))
+        forks = split_into_ranges(monkeypatch, cpus=3)
+        monkeypatch.setattr(cli, "_RANGE_BYTES", 2 << 20)  # real range sizes: four ranges
+        parse_range = cli._parse_range
+        reads = []
+
+        def delayed(fd, start, end):  # up to 20 ms, drawn for each read and range
+            time.sleep(random.Random(f"{len(reads)} {start}").random() / 50)
+            return parse_range(fd, start, end)
+
+        monkeypatch.setattr(cli, "_parse_range", delayed)
+        curves = set()
+        while len(reads) < 20:
+            curves.add(repr(cli._load_data(str(path))[0]))
+            reads.append(1)
+            assert_no_child_left()
+        assert curves == {want}
+        assert len(forks) == 2 * 20

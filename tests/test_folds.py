@@ -371,7 +371,7 @@ THREADS = textwrap.dedent("""
         parts = [xs[:1500], xs[1500:3500], xs[3500:]]
         pivot = sorted(xs)[len(xs) // 50]
         loaders = [lambda blob=marshal.dumps(part): marshal.loads(blob) for part in parts[1:]]
-        return _from_head([x for x in xs if x <= pivot], len(xs), parts[0], loaders)
+        return _from_head([x for x in xs if x <= pivot], len(xs), [parts[0], *loaders])
 
     sys.setswitchinterval(1e-6)
     rng = random.Random(3)

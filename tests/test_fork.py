@@ -1,11 +1,13 @@
 """The one fork primitive, ``lambdavar._fork.map_chunks``, under the check suites.
 
-Each trial suite draws its trials here and judges them in one contiguous
-chunk per usable CPU, the later chunks in forked workers.  A report must not
-depend on that: the same bytes on one CPU and on all of them, the same
-result where nothing may fork, and a failed worker answered by exactly one
-serial run.  The CSV reader's side of the primitive is tested in
-``test_cli.py`` (``TestRangeReader``, ``TestNoFork``).
+Each trial suite draws its trials here and judges them in four contiguous
+chunks per usable CPU, which this process and forked workers take in turn.
+A report must not depend on that: the same bytes on one CPU and on all of
+them, the same result where nothing may fork, and a failed worker answered
+by exactly one serial run.  Which process takes which chunk is a race, so a
+test that needs one outcome decides it with ``wait_to_claim``.  The CSV
+reader's side of the primitive is tested in ``test_cli.py``
+(``TestRangeReader``, ``TestNoFork``, ``TestRangeBuild``).
 """
 
 import errno
@@ -23,13 +25,13 @@ import pytest
 from lambdavar import _fork, checks, dual, oracles
 from lambdavar.cli import main
 from lambdavar.exceptions import BracketError
-from test_cli import SRC, assert_no_child_left
+from test_cli import SRC, assert_no_child_left, wait_to_claim
 
 SUITES = checks.suite_names()
 
 
 def use_cpus(monkeypatch, cpus):
-    """Make chunk_count() see `cpus` usable CPUs; returns the pids os.fork starts."""
+    """Make process_count() see `cpus` usable CPUs; returns the pids os.fork starts."""
     forks = []
     fork = os.fork
 
@@ -246,9 +248,11 @@ class TestFailedWorkers:
         caller = os.getpid()
         lambda_var = checks.lambda_var
         calls = []
+        gone, going = os.pipe()
 
         def exiting(p, prof):
             if os.getpid() != caller:
+                os.write(going, b"x")
                 os._exit(1)
             calls.append(1)
             return lambda_var(p, prof)
@@ -259,12 +263,16 @@ class TestFailedWorkers:
         assert serial_calls == 2 * 40  # two risks a trial
         calls.clear()
         forks = use_cpus(monkeypatch, 2)
+        wait_to_claim(monkeypatch, "caller", gone)  # the worker takes chunk 1 and exits first
         assert run_main(self.ARGV) == expected
         assert expected[0] == 0
-        # the caller's chunk of 20 trials, then every trial once more
-        assert len(calls) == 2 * 20 + serial_calls
+        # eight chunks of 5 trials: every one here but the worker's, then
+        # every trial once more
+        assert len(calls) == 2 * (40 - 5) + serial_calls
         assert len(forks) == 1
         assert_no_child_left()
+        os.close(gone)
+        os.close(going)
 
     @pytest.mark.parametrize("exc, code", [(BracketError, 4), (ValueError, 2)])
     def test_a_raise_in_a_workers_half_is_the_serial_runs(self, monkeypatch, exc, code):
@@ -314,7 +322,90 @@ class TestMapChunks:
 
     def test_a_result_marshal_cannot_send_fails_the_call(self, monkeypatch):
         use_cpus(monkeypatch, 2)
-        assert _fork.map_chunks(lambda chunk: object() if chunk else 0, [0, 1]) is None
+        taken, taking = os.pipe()
+        wait_to_claim(monkeypatch, "caller", taken)  # the worker takes chunk 1
+
+        def fn(chunk):
+            if chunk:
+                os.write(taking, b"x")
+                return object()
+            return 0
+
+        assert _fork.map_chunks(fn, [0, 1]) is None
+        assert_no_child_left()
+        os.close(taken)
+        os.close(taking)
+
+    def test_a_slowed_worker_takes_fewer_chunks(self, monkeypatch):
+        forks = use_cpus(monkeypatch, 3)
+        caller = os.getpid()
+        ran, running = os.pipe()
+
+        def fn(k):
+            os.write(running, bytes([k]))
+            if os.getpid() != caller:
+                time.sleep(0.05)
+            return k, os.getpid()
+
+        results = _fork.map_chunks(fn, list(range(24)))
+        os.close(running)
+        with open(ran, "rb") as runs:
+            assert sorted(runs.read()) == list(range(24))  # each chunk ran once
+        assert [k for k, _ in results] == list(range(24))
+        here = sum(pid == caller for _, pid in results)
+        assert {pid for _, pid in results} <= {caller, *forks}
+        assert here > 24 - here
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_more_processes_than_cores_take_every_chunk_once(self, monkeypatch):
+        forks = use_cpus(monkeypatch, 8)
+        ran, running = os.pipe()
+
+        def fn(k):
+            os.write(running, bytes([k]))
+            sum(range(1000 * (k % 7)))  # chunks of uneven cost
+            return [k] * (k % 5), os.getpid()
+
+        started = time.monotonic()
+        results = _fork.map_chunks(fn, list(range(250)))
+        assert time.monotonic() - started < 30
+        os.close(running)
+        with open(ran, "rb") as runs:
+            assert sorted(runs.read()) == list(range(250))
+        assert [part for part, _ in results] == [[k] * (k % 5) for k in range(250)]
+        assert {pid for _, pid in results} <= {os.getpid(), *forks}
+        assert len(forks) == 7
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("suite", ["mon", "cfa"])
+    def test_no_result_file_gives_the_serial_result(self, monkeypatch, suite):
+        with monkeypatch.context() as mp:
+            mp.delattr(os, "fork")
+            expected = repr(vars(checks.run_suite(suite, 41, 3)))
+        forks = use_cpus(monkeypatch, 2)
+
+        def no_file(name):
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(os, "memfd_create", no_file, raising=False)
+        assert _fork.map_chunks(len, ["a", "bb"]) is None
+        assert repr(vars(checks.run_suite(suite, 41, 3))) == expected
+        assert forks == []
+        assert_no_child_left()
+
+    def test_a_temporary_file_where_os_has_no_memfd_create(self, monkeypatch):
+        forks = use_cpus(monkeypatch, 4)
+        monkeypatch.delattr(os, "memfd_create", raising=False)
+        chunks = [[1.5, -0.0], [5e-324], [None, True, "x"], [(1, 2.0)], [b"\n"] * 3]
+        assert repr(_fork.map_chunks(list, chunks)) == repr(chunks)
+        assert len(forks) == 3
+        assert_no_child_left()
+
+    def test_more_chunks_than_the_pipe_holds_fails_the_call(self, monkeypatch):
+        forks = use_cpus(monkeypatch, 2)
+        assert _fork.map_chunks(len, ["a"] * 100_000) is None
+        assert forks == []
         assert_no_child_left()
 
     def test_no_process_to_be_had_fails_the_call(self, monkeypatch):
