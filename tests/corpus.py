@@ -40,6 +40,14 @@ The set:
   the cut, written with forty decimals; ``lambda-var`` on the step
   profile, ``var`` at the share n // 50 / n, ``entropic``, and ``duality``
   with 30 functions;
+- a CSV of 90,000 lines and a little over 4 MiB after its header, whose
+  2 % rank is -3.0, written in many shapes: ``repr``, ``-.5``, ``5.``,
+  ``-002.5``, ``j E-7``, lines of more than 308 bytes, and ``-3.0`` as
+  ``-2.99999999999999999999``, which float() rounds up to it; its second
+  quarter holds ``1e+20`` and a 309-digit integer part, its last a ``+``
+  sign and a CRLF line.  ``lambda-var`` on the step profile and on a step
+  of 0.05 and 0.1 at -1, whose answer lies past the 2 % rank,
+  ``worst-case``, ``var`` at 0.5 and ``entropic``;
 - ten inputs that end in an error: exits 2, 3 and 5.
 """
 
@@ -91,6 +99,9 @@ WIDE = {"huge.csv", "minus-huge.csv", *UNIFORM_ENDS}
 GRID_SIZES = [1023, 1024, 1025]  # from_samples is lazy from 1024 samples on
 RANGED = "ranged.csv"
 RANGED_N = 98_100  # 4,220,261 bytes after the header; two ranges need 4 MiB
+SHAPES = "shapes.csv"
+SHAPES_N = 90_000
+PAST_PIVOT = {"type": "step", "lambda_min": 0.05, "lambda_max": 0.1, "threshold": -1}
 
 
 def _csv(values, header=False) -> str:
@@ -119,6 +130,50 @@ def _ranged(rng) -> str:
     return "value\n" + "".join(f"{x:.40f}\n" for x in values)
 
 
+def _shaped(rng, x) -> str:
+    # x on a grid of 1/64, written in one of the shapes float() reads
+    j = round(x * 64)
+    u = rng.random()
+    if u < 0.3:
+        return repr(x)
+    if u < 0.34:
+        return "-" * (x < 0) + repr(abs(x)).lstrip("0")  # -.5, .25, 5.0
+    if u < 0.38:
+        return f"{int(x)}."  # 5., -0.
+    if u < 0.42:
+        return "-" * (x < 0) + "00" + repr(abs(x))  # -002.5
+    if u < 0.46:
+        return f"{j * 156250}E-7"  # exactly j / 64
+    if u < 0.48:
+        return f"{x:.320f}"  # a line of more than 308 bytes
+    return f"{x:.75f}"
+
+
+# -3.0 written so that float() rounds up to it from a smaller integer part
+THREES = ["-3.0", "-3", "-3.", "-003.0", "-30E-1", "-2.99999999999999999999",
+          "-3.00000000000000000001", "-0003.000000000000000000000000000000000000000000000000"]
+
+
+def _shapes(rng) -> str:
+    # 1.2 % in [-6, -3), 1.6 % equal to -3.0 and the rest in (-3, 6], so the
+    # 2 % rank is the integer -3.0.  Every line has a shape the exact reader
+    # proves finite, except a few placed in the second and last quarters of
+    # the bytes: 1e+20, a 309-digit integer part, a + sign and a CRLF line.
+    lines = []
+    for _ in range(SHAPES_N):
+        u = rng.random()
+        if u < 0.012:
+            lines.append(_shaped(rng, rng.randint(-384, -193) / 64))
+        elif u < 0.028:
+            lines.append(rng.choice(THREES))
+        else:
+            lines.append(_shaped(rng, rng.randint(-191, 384) / 64))
+    lines.insert(SHAPES_N // 10, "")
+    lines[SHAPES_N * 37 // 100:SHAPES_N * 37 // 100] = ["1e+20", "1" + "0" * 308 + ".5"]
+    lines[SHAPES_N * 87 // 100:SHAPES_N * 87 // 100] = ["+2.5", "1.5E-7", "3.25\r"]
+    return "value\n" + "".join(f"{line}\n" for line in lines)
+
+
 def _grid_name(n) -> str:
     return f"grid-{n}.csv"
 
@@ -142,6 +197,8 @@ def inputs() -> dict:
         **{name: _csv([x]) for name, x in ONE_POINT.items()},
         **{_grid_name(n): _csv(_grid(rng, n)) for n in GRID_SIZES},
         RANGED: _ranged(rng),
+        SHAPES: _shapes(rng),
+        "past-pivot.json": PAST_PIVOT,
         **PROFILES,
         **ZERO_PROFILES,
         **NON_FINITE_PROFILES,
@@ -209,6 +266,13 @@ def commands() -> list:
         ["compute", "--data", RANGED, "--measure", "var", "--lambda", repr(n // 50 / n)],
         ["compute", "--data", RANGED, "--measure", "entropic"],
         ["duality", "--data", RANGED, "--profile", "step.json", "--functions", "30"],
+    ]
+    argvs += [
+        ["compute", "--data", SHAPES, "--measure", "lambda-var", "--profile", "step.json"],
+        ["compute", "--data", SHAPES, "--measure", "lambda-var", "--profile", "past-pivot.json"],
+        ["compute", "--data", SHAPES, "--measure", "worst-case"],
+        ["compute", "--data", SHAPES, "--measure", "var", "--lambda", "0.5"],
+        ["compute", "--data", SHAPES, "--measure", "entropic"],
     ]
     argvs += [
         ["compute", "--data", "bad-line.csv", "--measure", "worst-case"],

@@ -62,3 +62,12 @@ def test_the_ranged_csv_takes_two_ranges(inputs):
 
     body = (inputs[0] / corpus.RANGED).read_bytes().partition(b"\n")[2]
     assert len(body) >= 2 * cli._RANGE_BYTES
+
+
+def test_the_shapes_csv_takes_four_ranges_on_two_cpus(inputs):
+    from lambdavar import cli
+
+    data = (inputs[0] / corpus.SHAPES).read_bytes()
+    body = len(data.partition(b"\n")[2])
+    assert body // cli._RANGE_BYTES == 2 and body // cli._BLOCK_BYTES == 4
+    assert data.count(b"\n") < 10 ** 5  # few lines: every curve is revalidated in tier-1
