@@ -141,17 +141,13 @@ def _work(fn, chunks, deal: int, out: int) -> None:
 
 
 def _records(out: int) -> dict:
-    """{k: result} of each record in the file, decoded from a map of it."""
-    size = os.fstat(out).st_size
-    if not size:  # this process took every chunk
-        return {}
-    import mmap
-
+    """{k: result} of each record in the file, decoded from one read of it."""
+    data = os.pread(out, os.fstat(out).st_size, 0)
     records, pos = {}, 0
-    with mmap.mmap(out, size, access=mmap.ACCESS_READ) as mapped, memoryview(mapped) as data:
-        while pos < size:
-            end = pos + _HEADER + int.from_bytes(data[pos:pos + _HEADER], "little")
-            k, result = marshal.loads(data[pos + _HEADER:end])
+    with memoryview(data) as view:
+        while pos < len(data):
+            end = pos + _HEADER + int.from_bytes(view[pos:pos + _HEADER], "little")
+            k, result = marshal.loads(view[pos + _HEADER:end])
             records[k] = result
             pos = end
     return records

@@ -21,6 +21,7 @@ import json
 import marshal
 import math
 import os
+import re
 import stat
 import sys
 from itertools import chain
@@ -82,61 +83,71 @@ _BLOCK_BYTES = 1 << 20
 # found within _LINE_BYTES of its offset.
 _PIVOT_LINES = 1024
 _LINE_BYTES = 256
+# A line whose shape, each ASCII digit written 9, fully matches _STRICT is
+# one that float() reads: a subset of its grammar, with no + sign, space,
+# underscore or positive exponent.  It is finite, as at most 308 digits
+# before the point keep it below 10^308.
+_NINES = bytes.maketrans(b"0123456789", b"9" * 10)
+_STRICT = rb"-?(?:9{1,308}(?:\.9*)?|\.9+)(?:[eE]-9+)?"
 
 
 def read_csv_samples(path: str):
     """The samples of a CSV file: one number per line, an optional header.
 
-    A regular file is parsed in byte ranges, which this process and workers
-    forked by _fork.map_chunks take in turn; a worker sends its floats back
-    bit for bit.  A small file, a single CPU, a live second thread or a
-    platform without fork means one range, parsed here.  A block that
-    float() refuses is parsed again without its empty lines.  If float()
-    still refuses a piece in any range (a line of spaces or a lone carriage
-    return, a byte that is not ASCII, a separator that str.strip() removes
-    and float() keeps), or a worker fails, the whole file goes to the
-    line-by-line parse, which decides and names the offending line.  A pipe
-    or FIFO goes there straight, and so does any file where os has no pread.
+    A regular file is read once and parsed in byte ranges, which this
+    process and workers forked by _fork.map_chunks take in turn; a worker
+    sends its floats back bit for bit.  A small file, a single CPU, a live
+    second thread or a platform without fork means one range, parsed here.
+    A range that float() refuses is parsed again without its empty lines.
+    If float() still refuses a piece in any range (a line of spaces or a
+    lone carriage return, a byte that is not ASCII, a separator that
+    str.strip() removes and float() keeps), or a worker fails, the whole
+    file goes to the line-by-line parse, which decides and names the
+    offending line.  A pipe or FIFO goes there straight, and so does any
+    file where os has no pread.
     """
     with open(path, "rb") as fh:
         parts = _read_regular(fh.fileno())
-        return parts and _joined(_held(parts)) or _parse_lines(path, _text(fh.read()))
+        return parts and _joined([samples for samples, *_ in parts]) or _parse_lines(
+            path, _text(fh.read()))
 
 
-def _read_regular(fd: int, digest=None):
+def _read_regular(fd: int, digest=None, head_only: bool = False):
     """The parsed ranges of a regular file, or None for the line loop.
 
-    The body is cut at byte offsets, and each range parses the lines that
-    start in it: it finds its own first line start, and reads its last line
-    to its end.  Each range gives (samples, count, finite, head), in file
-    order: its floats, how many there are, whether all are finite, and,
-    sorted stably, those at or below the pivot that _pivot reads from the
-    file (None if it finds none).  Each range does this work where it is
-    parsed.  Floats parsed here stay a list; a worker's stay the marshal
-    bytes it sent until _held's loader reads them.  With a digest, this
-    process first feeds it the file's bytes up to the size that the ranges
-    were cut from, while the workers parse, and then takes ranges too.
+    The file's bytes are read once, before any fork, and the body is cut
+    into ranges at line starts.  Each range gives (samples, count, finite,
+    head), in file order: its floats, a list or a loader of one, how many
+    there are, whether all are finite, and, sorted stably, those at or
+    below the pivot that _pivot reads from the file (None if it finds
+    none).  Each range does this work where it is parsed.  Floats parsed
+    here stay a list; a worker's stay the marshal bytes it sent until the
+    loader reads them.
+
+    With head_only and a pivot below zero, a range whose lines
+    _strict_count proves finite calls float() only on the lines that
+    _candidates finds, and defers the rest: its loader parses it when the
+    curve completes (_deferred).  Every other range takes the float route,
+    float() on each line.  With a digest, this process first feeds it the
+    bytes while the workers parse, and then takes ranges too.
     """
     st = os.fstat(fd)
     if not (hasattr(os, "pread") and stat.S_ISREG(st.st_mode)):
         return None
     size = st.st_size
-    first, newline, _ = os.pread(fd, 256, 0).partition(b"\n")
-    # A lone \r ends a line in text mode: after one, the word is on line 2.
-    is_header = newline and first.rstrip().lstrip(b" \t\v\f").lower() == b"value"
-    skip = len(first) + 1 if is_header else 0
-    body = size - skip
-    n = min(process_count(), body // _RANGE_BYTES)
-    n = max(n, body // _BLOCK_BYTES) if n > 1 else 1
     here = os.getpid()
 
     def parse(span):
         if span is None:  # chunk 0, which runs here first
             if digest is not None:
-                _hash_upto(fd, size, digest)
+                digest.update(data)
             return None
-        start, end = (_line_start(fd, pos) if skip < pos < size else pos for pos in span)
-        samples = _parse_range(fd, start, end)
+        count = candidates and _strict_count(data, *span)
+        if count is not None:
+            head = [x for x in map(float, candidates(data, *span)) if x <= pivot]
+            head.sort()
+            return None, count, True, head
+        samples = _parse_range(data, *span)
         head = None
         if pivot is not None:
             head = [x for x in samples if x <= pivot]
@@ -145,16 +156,45 @@ def _read_regular(fd: int, digest=None):
                 _all_finite(samples), head)
 
     try:
-        pivot = _pivot(fd, skip, size)
-        cuts = [skip + body * k // n for k in range(n + 1)]
-        chunks = [None, *zip(cuts, cuts[1:])]
-        parts = map_chunks(parse, chunks) if n > 1 else list(map(parse, chunks))
-        return parts and parts[1:]
+        data = _read_all(fd, size)
+        first, newline, _ = data[:256].partition(b"\n")
+        # A lone \r ends a line in text mode: after one, the word is on line 2.
+        is_header = newline and first.rstrip().lstrip(b" \t\v\f").lower() == b"value"
+        skip = len(first) + 1 if is_header else 0
+        body = size - skip
+        n = min(process_count(), body // _RANGE_BYTES)
+        n = max(n, body // _BLOCK_BYTES) if n > 1 else 1
+        pivot = _pivot(data, skip, size)
+        candidates = None
+        if head_only and pivot is not None and -math.inf < pivot < 0:
+            candidates = _candidates(pivot)
+        cuts = [_line_start(data, pos) if skip < pos < size else pos
+                for pos in (skip + body * k // n for k in range(n + 1))]
+        spans = list(zip(cuts, cuts[1:]))
+        parts = map_chunks(parse, [None, *spans]) if n > 1 else list(map(parse, [None, *spans]))
     except (ValueError, OSError):
         return None
+    if parts is None:
+        return None
+    del parts[0]
+    loaders = iter(_deferred(data, [span for span, (samples, *_) in zip(spans, parts)
+                                    if samples is None]))
+    return [(samples if type(samples) is list else next(loaders) if samples is None
+             else lambda blob=samples: marshal.loads(blob), *rest) for samples, *rest in parts]
 
 
-def _pivot(fd: int, start: int, end: int):
+def _read_all(fd: int, size: int) -> bytes:
+    """The first size bytes of the file; ValueError if it has shrunk."""
+    data = os.pread(fd, size, 0)
+    while len(data) < size:
+        more = os.pread(fd, size - len(data), len(data))
+        if not more:
+            raise ValueError("the file shrank")
+        data += more
+    return data
+
+
+def _pivot(data: bytes, start: int, end: int):
     """The sample at the 2 % rank of the lines at _PIVOT_LINES evenly spaced
     offsets of bytes [start, end), or None if no line is left.
 
@@ -167,7 +207,7 @@ def _pivot(fd: int, start: int, end: int):
     for k in range(_PIVOT_LINES):
         pos = start + (end - start) * k // _PIVOT_LINES
         at = pos - 1 if pos > start else pos  # a line starts after a newline at pos - 1
-        block = os.pread(fd, min(_LINE_BYTES, end - at), at)
+        block = data[at:min(at + _LINE_BYTES, end)]
         lines = block.split(b"\n", 2)[pos > start:]
         if len(lines) > 1 or lines and at + len(block) == end:  # a newline or the end follows
             try:
@@ -178,82 +218,108 @@ def _pivot(fd: int, start: int, end: int):
     return sample[len(sample) // 50] if sample else None
 
 
-def _held(parts) -> list:
-    """Each range's floats: its list, or a loader of a worker's bytes."""
-    return [samples if type(samples) is list else lambda blob=samples: marshal.loads(blob)
-            for samples, *_ in parts]
+def _strict_count(data: bytes, start: int, end: int):
+    """How many lines bytes [start, end) hold that are not empty, if each
+    matches _STRICT, so float() reads it as a finite float; else None.
+
+    Passes that run in C: the digits become 9s, the bytes are split at
+    newlines, and only the distinct shapes meet the pattern.
+    """
+    lines = data[start:end].translate(_NINES).split(b"\n")
+    shapes = set(lines)
+    shapes.discard(b"")
+    if all(map(re.compile(_STRICT).fullmatch, shapes)):
+        return len(lines) - lines.count(b"")
+    return None
+
+
+def _candidates(pivot: float):
+    """A function of (data, start, end), which start at line starts, that
+    returns every line of bytes [start, end) at or below pivot < 0, and few
+    others, provided each line matches _STRICT.
+
+    Such a line reads -I.F with an exponent of at most 0, so its decimal
+    value lies above -(I + 1), and float() rounds it by a share of at most
+    2^-53.  A float at or below pivot thus comes from an integer part I of
+    at least k = floor(-pivot * (1 - 2^-50)): a line of -, zeros, and
+    either as many digits as k with a first digit at least k's, or more
+    digits.  The factor keeps -2.99999999999999999999, which float() reads
+    as -3.0, when the pivot is -3.0.  With k = 0 each line that starts with
+    - is taken.
+    """
+    k = str(math.floor(-pivot * (1 - 2 ** -50)))
+    digits = "" if k == "0" else "0*(?:[%s-9]\\d{%d}|[1-9]\\d{%d,})" % (k[0], len(k) - 1, len(k))
+    find = re.compile(("\\n-%s[^\\n]*" % digits).encode()).findall
+
+    def lines(data, start, end):
+        # each match starts at the newline before its line, which float() skips
+        return find(data, start - 1, end) if start else find(b"\n" + data[:end])
+
+    return lines
+
+
+def _deferred(data: bytes, spans: list) -> list:
+    """A loader of the floats of each span of data, sorted stably, for a
+    lazy curve.
+
+    The first call parses and sorts every span, through _fork.map_chunks:
+    in parallel where this process may fork, serially while a second
+    thread is alive.  Each loader then returns its own span's list.  Threads
+    that complete one curve parse each span once.  The curve's stable sort
+    then merges sorted runs, and ties keep input order.
+    """
+    import threading  # loaded already: process_count imports it
+
+    lock, parsed = threading.Lock(), []
+
+    def parse(span):
+        samples = _parse_range(data, *span)
+        samples.sort()
+        return samples
+
+    def load(k):
+        with lock:
+            if not parsed:
+                parsed.append(map_chunks(parse, spans) or list(map(parse, spans)))
+        return parsed[0][k]
+
+    return [lambda k=k: load(k) for k in range(len(spans))]
 
 
 def _from_ranges(parts, n: int) -> Cdf:
     """The empirical CDF of the n samples of the parsed ranges.
 
-    It is built from the heads, lazily from 1024 samples on, and reads a
-    worker's floats only when it completes.  Without a pivot it is
-    _from_floats on all the samples.
+    It is built from the heads, lazily from 1024 samples on, and loads a
+    worker's or a deferred range's floats only when it completes.  Without
+    a pivot it is _from_floats on all the samples.
     """
     if not all(finite for _, _, finite, _ in parts):
         raise ValueError("samples must be finite")
+    held = [samples for samples, *_ in parts]
     if parts[0][3] is None:
-        return _from_floats(_joined(_held(parts)))
+        return _from_floats(_joined(held))
     head = list(chain.from_iterable(head for *_, head in parts))
-    return _from_head(head, n, _held(parts))
+    return _from_head(head, n, held)
 
 
-def _hash_upto(fd: int, size: int, digest) -> None:
-    """Feed digest the first size bytes of the file, a block at a time."""
-    for pos in range(0, size, _BLOCK_BYTES):
-        digest.update(_pread(fd, min(_BLOCK_BYTES, size - pos), pos))
+def _line_start(data: bytes, pos: int) -> int:
+    """The first line start at or after pos > 0, or the end of data."""
+    return data.find(b"\n", pos - 1) + 1 or len(data)
 
 
-def _pread(fd: int, want: int, pos: int) -> bytes:
-    """Exactly want bytes of the file from pos; ValueError if it has shrunk."""
-    block = os.pread(fd, want, pos)
-    if len(block) < want:
-        raise ValueError("the file shrank")
-    return block
+def _parse_range(data: bytes, start: int, end: int) -> list:
+    """The floats of the lines in bytes [start, end) of data; start and end
+    are line starts or the ends of data.
 
-
-def _line_start(fd: int, pos: int) -> int:
-    """The first line start at or after pos > 0 within a block, or the end of file.
-
-    A line is most often short, so the first read is of _LINE_BYTES only.
+    Raises ValueError where float() refuses a piece that is not empty.
     """
-    for want in (_LINE_BYTES, _BLOCK_BYTES):
-        block = os.pread(fd, want, pos - 1)
-        nl = block.find(b"\n")
-        if nl >= 0:
-            return pos + nl
-        if len(block) < want:
-            return pos - 1 + len(block)
-    raise ValueError("a line longer than a block")
-
-
-def _parse_range(fd: int, start: int, end: int) -> list:
-    """The floats of the lines in bytes [start, end), read a block at a time.
-
-    Raises ValueError where float() refuses a piece that is not empty, where
-    a line is longer than a block and where the file is shorter than it was.
-    """
-    samples = []
-    pos = start
-    while pos < end:
-        want = min(_BLOCK_BYTES, end - pos)
-        pieces = _pread(fd, want, pos).split(b"\n")
-        if pos + want < end:  # stop at the last newline; the next block starts there
-            if len(pieces) == 1:
-                raise ValueError("a line longer than a block")
-            pos += want - len(pieces.pop())
-        else:
-            if not pieces[-1]:  # the empty piece after the final newline
-                pieces.pop()
-            pos = end
-        done = len(samples)
-        try:
-            samples.extend(map(float, pieces))
-        except ValueError:  # skip empty lines, as the line loop does
-            del samples[done:]
-            samples.extend(map(float, filter(None, pieces)))
-    return samples
+    pieces = data[start:end].split(b"\n")
+    if not pieces[-1]:  # the empty piece after the final newline
+        pieces.pop()
+    try:
+        return list(map(float, pieces))
+    except ValueError:  # skip empty lines, as the line loop does
+        return list(map(float, filter(None, pieces)))
 
 
 def _text(data: bytes) -> str:
@@ -330,30 +396,31 @@ def _parse_json(path: str, text: str, parse, finite: bool = False):
 _loaded = None
 
 
-def _load_data(path: str):
+def _load_data(path: str, head_only: bool = False):
     """The distribution in --data, kept in _loaded, and its digest (_read_data)."""
     global _loaded
     _loaded = None
-    _loaded, digest = _read_data(path)
+    _loaded, digest = _read_data(path, head_only)
     return _loaded, digest
 
 
-def _read_data(path: str):
+def _read_data(path: str, head_only: bool = False):
     """The distribution in --data and the SHA-256 of the bytes it was parsed from.
 
     Each byte is read once.  A regular CSV file is hashed by the byte-range
-    reader, up to the size its ranges were cut from; JSON, the line loop, a
-    pipe and a FIFO are hashed from the bytes read for them.  A pipe or FIFO
-    could not be read twice anyway: a second open would find it drained or
-    wait for a writer that never comes.  The parsed samples become the
-    curve's own, uncopied.
+    reader, from the bytes its ranges parse; JSON, the line loop, a pipe and
+    a FIFO are hashed from the bytes read for them.  A pipe or FIFO could
+    not be read twice anyway: a second open would find it drained or wait
+    for a writer that never comes.  The parsed samples become the curve's
+    own, uncopied.  head_only says that the caller reads the curve only up
+    to its 2 % rank or so (_read_regular).
     """
     import hashlib  # check reads no data
 
     is_json = path.endswith(".json")
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        parts = None if is_json else _read_regular(fh.fileno(), digest)
+        parts = None if is_json else _read_regular(fh.fileno(), digest, head_only)
         n = parts and sum(count for _, count, _, _ in parts)
         if n:
             return _from_ranges(parts, n), "sha256:" + digest.hexdigest()
@@ -456,7 +523,9 @@ def cmd_compute(args) -> dict:
         raise ValueError("--measure lambda-var requires --profile")
     if args.measure == "var" and args.lam is None:
         raise ValueError("--measure var requires --lambda")
-    p, digest = _load_data(args.data)
+    # lambda-var and worst-case read the curve's head, and complete it only
+    # when the answer lies past it
+    p, digest = _load_data(args.data, args.measure in ("lambda-var", "worst-case"))
     inputs = {
         "data": args.data,
         "data_digest": digest,

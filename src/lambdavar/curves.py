@@ -266,7 +266,10 @@ class _LazyRC(MonotoneRC):
     ``prefix`` holds the columns of the smallest samples, among them every
     sample at or below its last abscissa, with the shares of all n samples.
     The samples are those of ``parts`` in input order: each part is a list,
-    or a loader that returns one, such as a CSV range that a worker parsed.
+    or a loader that returns one, such as a CSV range that a worker parsed
+    or whose floats were deferred.  A part may come sorted stably instead,
+    since the stable sort that completes the curve keeps ties in input order
+    either way.
     The first read of ``xs``, ``lefts`` or ``values``, or ``repr``, ``==``
     or ``hash``, joins the parts into a new list, builds the rest and turns
     the curve into a plain ``MonotoneRC``; the lookup hook stays off the
@@ -634,9 +637,10 @@ def _from_head(head: list, n: int, parts: list) -> Cdf:
     """The empirical CDF of n finite samples, lazy from 1024 samples on.
 
     The samples are those of ``parts``, each a list or a loader that returns
-    one, in input order.  head holds every sample at or below a pivot that
-    is one of them, in input order or as sorted runs in input order; the
-    stable sort merges the runs and keeps tied -0.0 and 0.0 in that order.
+    one, in input order; a part's own samples may come sorted stably.  head
+    holds every sample at or below a pivot that is one of them, in input
+    order or as sorted runs in input order; the stable sort merges the runs
+    and keeps tied -0.0 and 0.0 in that order.
     The loaders run when the curve completes, or here if it is built
     eagerly: below 1024 samples and not all of them in head.  head is sorted
     in place; a lazy curve keeps parts and never changes them.

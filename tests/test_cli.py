@@ -1002,11 +1002,11 @@ class TestRangeReader:
         failed, failing_now = os.pipe()
         wait_to_claim(monkeypatch, "caller", failed)  # a worker takes a range and fails first
 
-        def failing(fd, start, end):
+        def failing(data, start, end):
             if os.getpid() != caller:
                 os.write(failing_now, b"x")
                 os._exit(1)
-            return parse_range(fd, start, end)
+            return parse_range(data, start, end)
 
         def counted(path, text):
             ran.append(path)
@@ -1245,7 +1245,8 @@ class TestDigestOnEveryRoute:
             code, out, err = run_cli(capsys, command, "--data", str(path), *rest)
             assert (code, err) == (0, "")
             digest = json.loads(out)["inputs"]["data_digest"]
-            assert len(forks) == (route == "multi-range")
+            # the suite completes a twin of compute's lazy curve, which forks again
+            assert bool(forks) == (route == "multi-range")
             assert len(ran) == (route == "line-loop")
             assert_no_child_left()
         assert digest == "sha256:" + hashlib.sha256(data).hexdigest()
@@ -1253,21 +1254,21 @@ class TestDigestOnEveryRoute:
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_digest_stops_at_the_size_the_ranges_were_cut_from(tmp_path, monkeypatch, cpus):
-    """Bytes appended while the ranges are parsed are neither parsed nor hashed."""
+    """Bytes appended after the one read are neither parsed nor hashed."""
     forks = split_into_ranges(monkeypatch, cpus)
     values = [i / 7 for i in range(-20, 20)]
     data = b"value\n" + b"".join(b"%r\n" % v for v in values)
     path = tmp_path / "data.csv"
     path.write_bytes(data)
-    hash_upto = cli._hash_upto
+    pivot = cli._pivot
     appended = []
 
-    def appending(fd, size, digest):  # chunk 0, here, while workers may parse
+    def appending(data, start, end):  # after the read, before the ranges are parsed
         with open(path, "ab") as fh:
             appended.append(fh.write(b"99\n"))
-        hash_upto(fd, size, digest)
+        return pivot(data, start, end)
 
-    monkeypatch.setattr(cli, "_hash_upto", appending)
+    monkeypatch.setattr(cli, "_pivot", appending)
     p, digest = cli._load_data(str(path))
     assert appended and path.read_bytes() == data + b"99\n"
     assert digest == "sha256:" + hashlib.sha256(data).hexdigest()
@@ -1314,11 +1315,7 @@ def write_values(tmp_path, values, name="data.csv"):
 
 def file_pivot(path):
     data = path.read_bytes()
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        return cli._pivot(fd, len(b"value\n"), len(data))
-    finally:
-        os.close(fd)
+    return cli._pivot(data, len(b"value\n"), len(data))
 
 
 def range_count(path, ranges):
@@ -1383,7 +1380,7 @@ class TestRangeBuild:
         values = zeros_at_the_pivot(3000, seed=4)
         path = write_values(tmp_path, values)
         split_into_ranges(monkeypatch, ranges)
-        monkeypatch.setattr(cli, "_pivot", lambda fd, start, end: pivot)
+        monkeypatch.setattr(cli, "_pivot", lambda data, start, end: pivot)
         p, _ = cli._load_data(str(path))
         assert type(p.payload) is not _LazyRC
         assert repr(p) == repr(from_samples(values))
@@ -1428,10 +1425,10 @@ class TestRangeBuild:
         parse_range = cli._parse_range
         here = []
 
-        def recorded(fd, start, end):
+        def recorded(data, start, end):
             if os.getpid() == caller:
                 here.append((start, end))
-            return parse_range(fd, start, end)
+            return parse_range(data, start, end)
 
         monkeypatch.setattr(cli, "_parse_range", recorded)
         p, _ = cli._load_data(str(path))
@@ -1462,10 +1459,10 @@ class TestRangeBuild:
             wait_to_claim(monkeypatch, "caller", signal)
             parse_range = cli._parse_range
 
-            def parse_range_and_tell(fd, start, end):
+            def parse_range_and_tell(data, start, end):
                 if end == size:
                     os.write(signalling, b"x")
-                return parse_range(fd, start, end)
+                return parse_range(data, start, end)
 
             monkeypatch.setattr(cli, "_parse_range", parse_range_and_tell)
         started = time.monotonic()
@@ -1488,9 +1485,9 @@ class TestRangeBuild:
         parse_range = cli._parse_range
         reads = []
 
-        def delayed(fd, start, end):  # up to 20 ms, drawn for each read and range
+        def delayed(data, start, end):  # up to 20 ms, drawn for each read and range
             time.sleep(random.Random(f"{len(reads)} {start}").random() / 50)
-            return parse_range(fd, start, end)
+            return parse_range(data, start, end)
 
         monkeypatch.setattr(cli, "_parse_range", delayed)
         curves = set()
