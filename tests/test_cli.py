@@ -7,6 +7,7 @@ import random
 import select
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -1497,3 +1498,138 @@ class TestRangeBuild:
             assert_no_child_left()
         assert curves == {want}
         assert len(forks) == 2 * 20
+
+
+# ---------- the head-only read of compute lambda-var and worst-case ----------
+
+
+def tail_and_bulk(n, seed):
+    """n draws on a grid of 1/8: 4 % in [-9, -4.125], so the 2 % rank lies
+    there, and the rest in [-2.875, 6], zeros of both signs among them."""
+    rng = random.Random(seed)
+    values = [rng.randint(-72, -33) / 8 if rng.random() < 0.04 else rng.randint(-23, 48) / 8
+              for _ in range(n)]
+    return [x or rng.choice([-0.0, 0.0]) for x in values]
+
+
+# compute in a fresh interpreter, as argv[3:] asks, on argv[2] ranges; every
+# process appends each line it hands to float() to the file argv[1], except
+# the pivot's sample.  The float route, the line loop and the completion of
+# a curve raise.
+SPY = textwrap.dedent("""
+    import os, sys
+    from lambdavar import cli, curves
+
+    log = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND)
+    real, pivot = float, cli._pivot
+
+    def logged(text):
+        if isinstance(text, bytes):
+            os.write(log, text.strip() + b"\\n")
+        return real(text)
+
+    def unlogged_pivot(*args):
+        cli.float = real
+        try:
+            return pivot(*args)
+        finally:
+            cli.float = logged
+
+    def refuse(*args):
+        raise AssertionError("the float route, the line loop or a completion ran")
+
+    os.sched_getaffinity = lambda pid: set(range(int(sys.argv[2])))
+    cli._RANGE_BYTES, cli.float, cli._pivot = 1, logged, unlogged_pivot
+    cli._parse_range = cli._parse_lines = curves._LazyRC._complete = refuse
+    sys.exit(cli.main(sys.argv[3:]))
+""")
+
+
+class TestHeadOnly:
+    """compute lambda-var and worst-case prove each range's lines finite from
+    their shapes and convert only the lines that can lie at or below the
+    pivot; the rest are parsed, once, when a curve completes."""
+
+    @pytest.mark.parametrize("ranges", RANGES)
+    @pytest.mark.parametrize("measure", ["lambda-var", "worst-case"])
+    def test_float_runs_on_no_deferred_line_and_no_curve_completes(self, tmp_path, ranges,
+                                                                  measure):
+        values = tail_and_bulk(3000, seed=ranges)
+        path = write_values(tmp_path, values)
+        pivot = file_pivot(path)
+        assert pivot < -4
+        (tmp_path / "step.json").write_text(json.dumps(
+            {"type": "step", "lambda_min": 0.01, "lambda_max": 0.05, "threshold": -1.0}))
+        (tmp_path / "floats.log").write_bytes(b"")
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", SPY, "floats.log", str(ranges), "compute", "--data", "data.csv",
+             "--measure", measure, *(["--profile", "step.json"] if measure == "lambda-var" else [])],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        curve = from_samples(values)
+        want = (lambda_var(curve, step_profile(0.01, 0.05, -1.0)).value
+                if measure == "lambda-var" else worst_case(curve))
+        assert json.loads(proc.stdout)["value"] == want
+        converted = sorted(map(float, (tmp_path / "floats.log").read_bytes().split()))
+        assert converted and all(x < -4 for x in converted)  # never a line of the bulk
+        assert [x for x in converted if x <= pivot] == sorted(x for x in values if x <= pivot)
+
+    @pytest.mark.parametrize("ranges", RANGES)
+    def test_completing_parses_each_deferred_span_once_through_map_chunks(
+        self, tmp_path, monkeypatch, ranges
+    ):
+        values = tail_and_bulk(3000, seed=10 + ranges)
+        path = write_values(tmp_path, values)
+        forks = split_into_ranges(monkeypatch, ranges)
+        log = os.open(tmp_path / "spans.log", os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        parse_range, map_chunks = cli._parse_range, cli.map_chunks
+        calls = []
+
+        def logged(data, start, end):  # in any process
+            os.write(log, b"%d %d\n" % (start, end))
+            return parse_range(data, start, end)
+
+        def recorded(fn, chunks):
+            before = len(forks)
+            result = map_chunks(fn, chunks)
+            calls.append((list(chunks), len(forks) - before))
+            return result
+
+        monkeypatch.setattr(cli, "_parse_range", logged)
+        monkeypatch.setattr(cli, "map_chunks", recorded)
+        try:
+            p, _ = cli._load_data(str(path), head_only=True)  # the suite completes a twin here
+            assert type(p.payload) is _LazyRC
+            assert repr(p) == repr(from_samples(values))  # and the curve itself completes
+        finally:
+            os.close(log)
+        spans = [tuple(map(int, line.split()))
+                 for line in (tmp_path / "spans.log").read_bytes().splitlines()]
+        assert len(spans) == len(set(spans)) == ranges  # every range deferred, each parsed once
+        assert calls[-1] == (sorted(spans), ranges - 1)  # in parallel: a worker per other span
+        assert len(calls) == 1 + (ranges > 1)  # and the read's own call with more than one range
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("ranges", RANGES)
+    def test_a_past_pivot_answer_completes_the_curve(self, tmp_path, monkeypatch, ranges):
+        values = tail_and_bulk(3000, seed=20 + ranges)
+        path = write_values(tmp_path, values)
+        split_into_ranges(monkeypatch, ranges)
+        p, _ = cli._load_data(str(path), head_only=True)
+        profile = step_profile(0.05, 0.1, -1.0)  # F reaches 0.05 past the 2 % rank
+        assert repr(lambda_var(p, profile)) == repr(lambda_var(from_samples(values), profile))
+        assert type(p.payload) is not _LazyRC
+        assert_no_child_left()
+
+    def test_a_non_negative_pivot_takes_the_float_route(self, tmp_path, monkeypatch):
+        values = zeros_at_the_pivot(3000, seed=30)
+        path = write_values(tmp_path, values)
+        assert file_pivot(path) == 0.0
+        split_into_ranges(monkeypatch, 1)  # here, where the refusal raises
+        monkeypatch.setattr(cli, "_strict_count",
+                            lambda *span: pytest.fail("a range took the shape proof"))
+        p, _ = cli._load_data(str(path), head_only=True)
+        assert repr(p) == repr(from_samples(values))
+        assert_no_child_left()

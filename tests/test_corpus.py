@@ -65,9 +65,15 @@ def test_the_ranged_csv_takes_two_ranges(inputs):
 
 
 def test_the_shapes_csv_takes_four_ranges_on_two_cpus(inputs):
+    """Of which the second and the last take the float route."""
     from lambdavar import cli
 
     data = (inputs[0] / corpus.SHAPES).read_bytes()
-    body = len(data.partition(b"\n")[2])
+    skip = data.index(b"\n") + 1
+    body = len(data) - skip
     assert body // cli._RANGE_BYTES == 2 and body // cli._BLOCK_BYTES == 4
     assert data.count(b"\n") < 10 ** 5  # few lines: every curve is revalidated in tier-1
+    cuts = [skip, *(cli._line_start(data, skip + body * k // 4) for k in (1, 2, 3)), len(data)]
+    counts = [cli._strict_count(data, *span) for span in zip(cuts, cuts[1:])]
+    assert [count is None for count in counts] == [False, True, False, True]
+    assert cli._pivot(data, skip, len(data)) == -3.0

@@ -10,8 +10,9 @@ halving.  ``pointwise_leq`` is ``first_above`` finding nothing, and answers
 as the loop it replaced did.
 ``_check_monotone`` judges the chain of levels in one pass and names the
 error the loop it replaced named.  A lazy curve may be completed by several
-threads at once, whether it holds its samples as one list or as a list and
-a worker's bytes, and ``repr`` names the completed class mid-swap.
+threads at once, whether it holds its samples as one list or as a list, a
+worker's bytes and deferred spans of a file, which are then parsed once and
+without a fork, and ``repr`` names the completed class mid-swap.
 The wide-span commands and the two check seeds that changed are pinned
 through ``main``.
 """
@@ -363,15 +364,31 @@ def test_check_monotone_on_seeded_chains():
 
 
 THREADS = textwrap.dedent("""
-    import marshal, random, sys, threading
+    import marshal, os, random, sys, threading
+    from lambdavar import cli
     from lambdavar.curves import MonotoneRC, _from_head, _sample_columns, from_samples
 
+    parse_range, parsed, forks = cli._parse_range, [], []
+
+    def counted(data, start, end):
+        parsed.append((start, end))
+        return parse_range(data, start, end)
+
+    def no_fork():
+        forks.append(1)
+        raise OSError("a fork while threads are alive")
+
+    cli._parse_range, os.fork = counted, no_fork
+
     def ranged(xs):
-        # as the CSV reader builds it: three ranges, two kept as a worker's marshal bytes
-        parts = [xs[:1500], xs[1500:3500], xs[3500:]]
+        # as the CSV reader builds it: a range parsed here, a worker's marshal
+        # bytes and two deferred spans of the file's bytes
+        data = b"".join(b"%r\\n" % x for x in xs[3500:])
+        cut = data.index(b"\\n", len(data) // 2) + 1
         pivot = sorted(xs)[len(xs) // 50]
-        loaders = [lambda blob=marshal.dumps(part): marshal.loads(blob) for part in parts[1:]]
-        return _from_head([x for x in xs if x <= pivot], len(xs), [parts[0], *loaders])
+        loaders = [lambda blob=marshal.dumps(xs[1500:3500]): marshal.loads(blob),
+                   *cli._deferred(data, [(0, cut), (cut, len(data))])]
+        return _from_head([x for x in xs if x <= pivot], len(xs), [xs[:1500], *loaders])
 
     sys.setswitchinterval(1e-6)
     rng = random.Random(3)
@@ -381,6 +398,7 @@ THREADS = textwrap.dedent("""
         want = repr(MonotoneRC(zip(*_sample_columns(sorted(xs), len(xs))), 0.0, 1.0))
         curve = (ranged(xs) if k % 2 else from_samples(xs)).payload
         assert type(curve).__name__ == "_LazyRC"
+        parsed.clear()
 
         def read():
             try:
@@ -394,6 +412,10 @@ THREADS = textwrap.dedent("""
             t.start()
         for t in threads:
             t.join()
+        if len(parsed) != 2 * (k % 2) or len(set(parsed)) != len(parsed):
+            failures.append(f"spans parsed: {parsed}")
+    if forks:
+        failures.append(f"{len(forks)} forks")
     print(len(failures), failures[:3])
 """)
 
