@@ -1561,11 +1561,12 @@ class TestHeadOnly:
         (tmp_path / "step.json").write_text(json.dumps(
             {"type": "step", "lambda_min": 0.01, "lambda_max": 0.05, "threshold": -1.0}))
         (tmp_path / "floats.log").write_bytes(b"")
+        argv = ["compute", "--data", "data.csv", "--measure", measure,
+                *(["--profile", "step.json"] if measure == "lambda-var" else [])]
         path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", SPY, "floats.log", str(ranges), "compute", "--data", "data.csv",
-             "--measure", measure, *(["--profile", "step.json"] if measure == "lambda-var" else [])],
-            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True, timeout=60,
+            [sys.executable, "-c", SPY, "floats.log", str(ranges), *argv], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, timeout=60,
         )
         assert (proc.returncode, proc.stderr) == (0, b"")
         curve = from_samples(values)
