@@ -86,50 +86,45 @@ _LINE_BYTES = 256
 # A line whose shape, each ASCII digit written 9, fully matches _STRICT is
 # one that float() reads: a subset of its grammar, with no + sign, space,
 # underscore or positive exponent.  It is finite, as at most 308 digits
-# before the point keep it below 10^308.
+# before the point keep it below 10^308.  It may end in the \r of a \r\n,
+# which float() strips and text mode reads with the \n as one line end.
 _NINES = bytes.maketrans(b"0123456789", b"9" * 10)
-_STRICT = rb"-?(?:9{1,308}(?:\.9*)?|\.9+)(?:[eE]-9+)?"
+_STRICT = rb"-?(?:9{1,308}(?:\.9*)?|\.9+)(?:[eE]-9+)?\r?"
 
 
 def read_csv_samples(path: str):
-    """The samples of a CSV file: one number per line, an optional header.
-
-    A regular file is read once and parsed in byte ranges, which this
-    process and workers forked by _fork.map_chunks take in turn; a worker
-    sends its floats back bit for bit.  A small file, a single CPU, a live
-    second thread or a platform without fork means one range, parsed here.
-    A range that float() refuses is parsed again without its empty lines.
-    If float() still refuses a piece in any range (a line of spaces or a
-    lone carriage return, a byte that is not ASCII, a separator that
-    str.strip() removes and float() keeps), or a worker fails, the whole
-    file goes to the line-by-line parse, which decides and names the
-    offending line.  A pipe or FIFO goes there straight, and so does any
-    file where os has no pread.
-    """
+    """The samples of a CSV file, one number per line with an optional
+    "value" header, in input order: the line loop that names a bad line.
+    The commands read a CSV through _load_data's byte ranges instead."""
     with open(path, "rb") as fh:
-        parts = _read_regular(fh.fileno())
-        return parts and _joined([samples for samples, *_ in parts]) or _parse_lines(
-            path, _text(fh.read()))
+        return _parse_lines(path, _text(fh.read()))
 
 
-def _read_regular(fd: int, digest=None, head_only: bool = False):
+def _read_regular(fd: int, digest, head_only: bool):
     """The parsed ranges of a regular file, or None for the line loop.
 
-    The file's bytes are read once, before any fork, and the body is cut
-    into ranges at line starts.  Each range gives (samples, count, finite,
-    head), in file order: its floats, a list or a loader of one, how many
-    there are, whether all are finite, and, sorted stably, those at or
+    The file's bytes are read once, before any fork; this process feeds
+    them to digest while the workers parse, and then takes ranges too.  The
+    body is cut into ranges at line starts: one range where the file is
+    small, there is one CPU, a second thread is alive or os has no fork
+    (_fork.map_chunks).  Each range gives, in file order, (samples, count,
+    finite, head): its floats in any order, a list or a loader of one; how
+    many there are; whether all are finite; and, sorted stably, those at or
     below the pivot that _pivot reads from the file (None if it finds
-    none).  Each range does this work where it is parsed.  Floats parsed
-    here stay a list; a worker's stay the marshal bytes it sent until the
-    loader reads them.
+    none).  Each range does this work where it is parsed.  Floats
+    parsed here stay a list; a worker's stay the marshal bytes it sent
+    until the loader reads them.
 
     With head_only and a pivot below zero, a range whose lines
     _strict_count proves finite calls float() only on the lines that
     _candidates finds, and defers the rest: its loader parses it when the
     curve completes (_deferred).  Every other range takes the float route,
-    float() on each line.  With a digest, this process first feeds it the
-    bytes while the workers parse, and then takes ranges too.
+    float() on each line, and on its pieces that are not empty if float()
+    refuses one.  None if float() still refuses a piece (a line of spaces
+    or a lone carriage return, a byte that is not ASCII, a separator that
+    str.strip() removes and float() keeps), a worker fails, the file
+    shrinks, or it is not a regular file that os can pread: the line loop
+    then decides, and names the offending line.
     """
     st = os.fstat(fd)
     if not (hasattr(os, "pread") and stat.S_ISREG(st.st_mode)):
@@ -139,8 +134,7 @@ def _read_regular(fd: int, digest=None, head_only: bool = False):
 
     def parse(span):
         if span is None:  # chunk 0, which runs here first
-            if digest is not None:
-                digest.update(data)
+            digest.update(data)
             return None
         count = candidates and _strict_count(data, *span)
         if count is not None:
@@ -404,7 +398,7 @@ def _load_data(path: str, head_only: bool = False):
     return _loaded, digest
 
 
-def _read_data(path: str, head_only: bool = False):
+def _read_data(path: str, head_only: bool):
     """The distribution in --data and the SHA-256 of the bytes it was parsed from.
 
     Each byte is read once.  A regular CSV file is hashed by the byte-range
@@ -718,8 +712,6 @@ def cmd_plot(args) -> dict:
     p, _ = _load_data(args.data)
     profile, _ = load_profile(args.profile)
     report = lambda_var(p, profile)
-    if report.violation_point is None:
-        raise BracketError("no finite violation point to mark")
     _write(args.out, render_plot(p, profile, report.violation_point))
     return {
         "report": "plot",

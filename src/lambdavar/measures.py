@@ -28,6 +28,10 @@ class RiskReport(_Record):
     the profile (None when the value is +inf); when both curves are
     continuous there, it is the smallest intersection of the two curves.
     ``finiteness_case`` is "finite" or "plus_infinity_tail_dominated".
+    ``lambda_var`` always reports "finite": the value would be +inf only if
+    the CDF exceeded the profile on a left tail, but a CDF's left tail is
+    0.0 and no profile level lies below 0.0.  ``oracles.lambda_var_flat``
+    keeps the other case.
     """
 
     _fields = ("value", "violation_point", "finiteness_case")
@@ -45,8 +49,6 @@ def lambda_var(p: Cdf, profile: LossProfile) -> RiskReport:
     """
     profile.require_feasible()
     x_star = first_above(p.payload, profile.curve)
-    if x_star == -math.inf:
-        return RiskReport(math.inf, None, "plus_infinity_tail_dominated")
     return RiskReport(-x_star, x_star, "finite")
 
 

@@ -695,7 +695,7 @@ class TestFlagsBeforeData:
 
 
 def read_csv_loop(path):
-    """The line-by-line reader that read_csv_samples replaced."""
+    """A line loop that iterates the open file; read_csv_samples splits its text."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -714,6 +714,9 @@ def read_csv_loop(path):
 
 
 class TestReadCsv:
+    """_load_data's curve and error against the line loop's; read_csv_samples,
+    the line loop itself, against the reader that iterates the file."""
+
     @pytest.mark.parametrize(
         "data",
         [
@@ -732,8 +735,6 @@ class TestReadCsv:
         ],
     )
     def test_parity_with_line_loop(self, tmp_path, data):
-        from lambdavar.cli import read_csv_samples
-
         path = tmp_path / "data.csv"
         path.write_bytes(data)
 
@@ -744,6 +745,7 @@ class TestReadCsv:
                 return f"ValueError: {exc}"
 
         assert outcome(read_csv_samples) == outcome(read_csv_loop)
+        assert load_outcome(path) == csv_outcome(read_csv_samples, path)
 
 
 def read_csv_split(path):
@@ -769,10 +771,22 @@ def read_csv_split(path):
 
 
 def csv_outcome(reader, path):
+    """The repr of from_samples of reader's samples of path, or the error."""
     try:
-        return repr(reader(str(path)))
+        return repr(from_samples(reader(str(path))))
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def load_outcome(path):
+    """The repr of _load_data's curve of path, or the error; its digest must
+    be of the file's bytes."""
+    try:
+        p, digest = cli._load_data(str(path))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    assert digest == "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return repr(p)
 
 
 CSV_LINES = st.sampled_from(
@@ -782,7 +796,7 @@ CSV_LINES = st.sampled_from(
 
 
 class TestStreamingCsv:
-    """The streaming parse against the split-text reader, on bytes on disk."""
+    """_load_data's byte ranges against the split-text reader, on bytes on disk."""
 
     @pytest.mark.parametrize(
         "data",
@@ -812,14 +826,14 @@ class TestStreamingCsv:
     def test_matches_the_split_reader(self, tmp_path, data):
         path = tmp_path / "data.csv"
         path.write_bytes(data)
-        assert csv_outcome(read_csv_samples, path) == csv_outcome(read_csv_split, path)
+        assert load_outcome(path) == csv_outcome(read_csv_split, path)
 
     @given(st.lists(CSV_LINES, max_size=12), st.sampled_from(["\n", "\r\n", "\r"]),
            st.booleans())
     def test_matches_the_split_reader_on_generated_files(self, tmp_path_factory, lines, end, last):
         path = tmp_path_factory.mktemp("csv") / "data.csv"
         path.write_bytes((end.join(lines) + (end if last else "")).encode("utf-8"))
-        assert csv_outcome(read_csv_samples, path) == csv_outcome(read_csv_split, path)
+        assert load_outcome(path) == csv_outcome(read_csv_split, path)
 
     CLEAN = [b"value\n1\n-2.5\n", b" VALUE \r\n1\r\n-2.5", b"1\n-2.5\n"]
 
@@ -831,7 +845,7 @@ class TestStreamingCsv:
         monkeypatch.setattr(cli, "_parse_lines", refuse)
         path = tmp_path / "data.csv"
         path.write_bytes(data)
-        assert read_csv_samples(str(path)) == [1.0, -2.5]
+        assert load_outcome(path) == repr(from_samples([1.0, -2.5]))
 
     @pytest.mark.parametrize("data", CLEAN)
     def test_clean_split_files_never_reach_the_line_loop(self, tmp_path, monkeypatch, data):
@@ -878,7 +892,7 @@ class TestStreamingCsv:
         monkeypatch.setattr(cli, "_parse_lines", counted)
         path = tmp_path / "data.csv"
         path.write_bytes(data)
-        assert csv_outcome(read_csv_samples, path) == csv_outcome(read_csv_split, path)
+        assert load_outcome(path) == csv_outcome(read_csv_split, path)
         assert ran == [str(path)]
 
     def test_a_pipe_falls_back_without_rewinding(self, tmp_path):
@@ -887,12 +901,13 @@ class TestStreamingCsv:
         data = b"value\n1\n\n2\n"
         writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
         writer.start()
-        got = read_csv_samples(str(path))
+        got, digest = cli._load_data(str(path))
         writer.join(timeout=10)
         assert not writer.is_alive()
         plain = tmp_path / "plain.csv"
         plain.write_bytes(data)
-        assert repr(got) == repr(read_csv_split(str(plain))) == "[1.0, 2.0]"
+        assert repr(got) == csv_outcome(read_csv_split, plain) == repr(from_samples([1.0, 2.0]))
+        assert digest == "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def split_into_ranges(monkeypatch, cpus=4):
@@ -951,7 +966,7 @@ def cut_of(data: bytes) -> int:
 
 
 class TestRangeReader:
-    """The byte-range reader, split into 2-4 ranges, against the split-text reader."""
+    """_load_data's byte ranges, split into 2-4 ranges, against the split-text reader."""
 
     @given(st.lists(CSV_LINES, max_size=12), st.sampled_from(["\n", "\r\n", "\r"]),
            st.booleans(), st.integers(2, 4))
@@ -962,7 +977,7 @@ class TestRangeReader:
         path.write_bytes((end.join(lines) + (end if last else "")).encode("utf-8"))
         with pytest.MonkeyPatch.context() as mp:
             split_into_ranges(mp, cpus)
-            got = csv_outcome(read_csv_samples, path)
+            got = load_outcome(path)
         assert got == csv_outcome(read_csv_split, path)
         assert_no_child_left()
 
@@ -978,7 +993,7 @@ class TestRangeReader:
             places.add("caller" if place > 1 else "worker" if place < 0 else "cut")
             path = tmp_path / f"bad{at}.csv"
             path.write_bytes(data)
-            assert csv_outcome(read_csv_samples, path) == csv_outcome(read_csv_split, path)
+            assert load_outcome(path) == csv_outcome(read_csv_split, path)
             assert_no_child_left()
         assert places == {"caller", "worker", "cut"}
         assert forks
@@ -990,7 +1005,7 @@ class TestRangeReader:
         data = "\n".join(map(repr, values)) + ("\n" if final_newline else "")
         path = tmp_path / "zeros.csv"
         path.write_text(data)
-        assert repr(read_csv_samples(str(path))) == repr(values)
+        assert load_outcome(path) == repr(from_samples(values))  # the first zero's sign
         assert len(forks) == 3
         assert_no_child_left()
 
@@ -1019,7 +1034,7 @@ class TestRangeReader:
             path = tmp_path / "data.csv"
             path.write_bytes(data)
             ran.clear()
-            assert csv_outcome(read_csv_samples, path) == csv_outcome(read_csv_split, path)
+            assert load_outcome(path) == csv_outcome(read_csv_split, path)
             assert ran == [str(path)]
             assert_no_child_left()
             while select.select([failed], [], [], 0)[0]:  # so the next file waits again
@@ -1036,7 +1051,7 @@ class TestRangeReader:
         path.write_bytes(b"nope\n1\n2\n3\n4\n5\n")
         started = time.monotonic()
         with pytest.raises(ValueError, match=r"data.csv:1: not a number: 'nope'"):
-            read_csv_samples(str(path))
+            cli._load_data(str(path))
         assert time.monotonic() - started < 30
         assert forks
         assert_no_child_left()
@@ -1045,14 +1060,14 @@ class TestRangeReader:
 
 
 class TestNoFork:
-    """Where a fork is unsafe or impossible the reader parses one range here."""
+    """Where a fork is unsafe or impossible _load_data parses one range here."""
 
     DATA = b"value\n" + b"".join(b"%r\n" % (i / 7) for i in range(-20, 20))
 
     def expected(self, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_bytes(self.DATA)
-        return repr(read_csv_split(str(path)))
+        return csv_outcome(read_csv_split, path)
 
     def test_not_with_a_second_thread_alive(self, tmp_path, monkeypatch):
         expected = self.expected(tmp_path)
@@ -1062,7 +1077,7 @@ class TestNoFork:
         waiter = threading.Thread(target=parked.wait, daemon=True)
         waiter.start()
         try:
-            assert repr(read_csv_samples(str(tmp_path / "plain.csv"))) == expected
+            assert load_outcome(tmp_path / "plain.csv") == expected
         finally:
             parked.set()
             waiter.join(timeout=10)
@@ -1072,7 +1087,7 @@ class TestNoFork:
         expected = self.expected(tmp_path)
         split_into_ranges(monkeypatch)
         monkeypatch.delattr(os, "fork")
-        assert repr(read_csv_samples(str(tmp_path / "plain.csv"))) == expected
+        assert load_outcome(tmp_path / "plain.csv") == expected
 
     def test_not_on_a_fifo(self, tmp_path, monkeypatch):
         expected = self.expected(tmp_path)
@@ -1089,7 +1104,9 @@ class TestNoFork:
         try:
             writer.stdin.write(self.DATA)
             writer.stdin.close()
-            assert repr(read_csv_samples(str(fifo))) == expected
+            p, digest = cli._load_data(str(fifo))
+            assert repr(p) == expected
+            assert digest == "sha256:" + hashlib.sha256(self.DATA).hexdigest()
         finally:
             assert writer.wait(timeout=30) == 0
         assert_no_child_left()
@@ -1499,6 +1516,70 @@ class TestRangeBuild:
         assert curves == {want}
         assert len(forks) == 2 * 20
 
+    @pytest.mark.parametrize("ranges", RANGES)
+    @pytest.mark.parametrize("n", [1023, 1024])
+    def test_no_sampled_line_builds_as_from_samples(self, tmp_path, monkeypatch, capsys,
+                                                    ranges, n):
+        """Every line is longer than _LINE_BYTES, so _pivot reads none: no
+        range keeps a head, and the curve is built from all the samples."""
+        values = zeros_at_the_pivot(n, seed=40 + n)
+        path = tmp_path / "data.csv"
+        path.write_text("value\n" + "".join(f"{v!r}{'0' * cli._LINE_BYTES}\n" for v in values))
+        assert file_pivot(path) is None
+        (tmp_path / "step.json").write_text(json.dumps(
+            {"type": "step", "lambda_min": 0.01, "lambda_max": 0.05, "threshold": -1.0}))
+        forks = split_into_ranges(monkeypatch, ranges)
+        p, _ = cli._load_data(str(path))
+        assert len(forks) == ranges - 1
+        assert (type(p.payload) is _LazyRC) is (n >= 1024)
+        assert repr(p) == repr(from_samples(values))
+        report = run_report(capsys, "compute", "--data", str(path), "--measure", "lambda-var",
+                            "--profile", str(tmp_path / "step.json"))
+        assert report["value"] == lambda_var(from_samples(values),
+                                             step_profile(0.01, 0.05, -1.0)).value
+        assert_no_child_left()
+
+
+def data_file_preads(monkeypatch, path, reads):
+    """Patch os.pread so that each read of the file at path returns reads(n,
+    offset) bytes at most; other files, as _fork's result file, read as usual."""
+    pread, st = os.pread, path.stat()
+
+    def limited(fd, n, offset):
+        fst = os.fstat(fd)
+        if (fst.st_dev, fst.st_ino) == (st.st_dev, st.st_ino):
+            n = min(n, reads(n, offset))
+        return pread(fd, n, offset)
+
+    monkeypatch.setattr(os, "pread", limited)
+
+
+@pytest.mark.parametrize("ranges", [1, 2])
+def test_short_preads_read_the_whole_file(tmp_path, monkeypatch, ranges):
+    values = zeros_at_the_pivot(3000, seed=50)
+    path = write_values(tmp_path, values)
+    data = path.read_bytes()
+    calls = []
+    data_file_preads(monkeypatch, path, lambda n, offset: calls.append(offset) or 3000)
+    forks = split_into_ranges(monkeypatch, ranges)
+    p, digest = cli._load_data(str(path))
+    assert len(calls) == -(-len(data) // 3000)  # a few KiB per call, up to the size
+    assert digest == "sha256:" + hashlib.sha256(data).hexdigest()
+    assert repr(p) == repr(from_samples(values))
+    assert len(forks) == ranges - 1
+    assert_no_child_left()
+
+
+def test_a_file_that_reads_short_goes_to_the_line_loop(tmp_path, monkeypatch):
+    path = write_values(tmp_path, zeros_at_the_pivot(3000, seed=51))
+    want = csv_outcome(read_csv_samples, path)
+    data_file_preads(monkeypatch, path, lambda n, offset: 0 if offset else 3000)  # it "shrank"
+    parse_lines = cli._parse_lines
+    ran = []
+    monkeypatch.setattr(cli, "_parse_lines", lambda *a: ran.append(a[0]) or parse_lines(*a))
+    assert load_outcome(path) == want  # and the digest is of the whole file
+    assert ran == [str(path)]
+
 
 # ---------- the head-only read of compute lambda-var and worst-case ----------
 
@@ -1555,27 +1636,47 @@ class TestHeadOnly:
     def test_float_runs_on_no_deferred_line_and_no_curve_completes(self, tmp_path, ranges,
                                                                   measure):
         values = tail_and_bulk(3000, seed=ranges)
-        path = write_values(tmp_path, values)
-        pivot = file_pivot(path)
+        report = self.spied(tmp_path, write_values(tmp_path, values), values, ranges, measure)
+        curve = from_samples(values)
+        want = (lambda_var(curve, step_profile(0.01, 0.05, -1.0)).value
+                if measure == "lambda-var" else worst_case(curve))
+        assert report["value"] == want
+
+    @staticmethod
+    def spied(tmp_path, path, values, ranges, measure):
+        """compute's report on path under SPY, which must convert every line
+        at or below the file's pivot and no line of the bulk."""
+        data = path.read_bytes()
+        pivot = cli._pivot(data, data.index(b"\n") + 1, len(data))
         assert pivot < -4
         (tmp_path / "step.json").write_text(json.dumps(
             {"type": "step", "lambda_min": 0.01, "lambda_max": 0.05, "threshold": -1.0}))
         (tmp_path / "floats.log").write_bytes(b"")
-        argv = ["compute", "--data", "data.csv", "--measure", measure,
+        argv = ["compute", "--data", path.name, "--measure", measure,
                 *(["--profile", "step.json"] if measure == "lambda-var" else [])]
-        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", SPY, "floats.log", str(ranges), *argv], cwd=tmp_path,
-            env=dict(os.environ, PYTHONPATH=path), capture_output=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, timeout=60,
         )
         assert (proc.returncode, proc.stderr) == (0, b"")
-        curve = from_samples(values)
-        want = (lambda_var(curve, step_profile(0.01, 0.05, -1.0)).value
-                if measure == "lambda-var" else worst_case(curve))
-        assert json.loads(proc.stdout)["value"] == want
         converted = sorted(map(float, (tmp_path / "floats.log").read_bytes().split()))
         assert converted and all(x < -4 for x in converted)  # never a line of the bulk
         assert [x for x in converted if x <= pivot] == sorted(x for x in values if x <= pivot)
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("ranges", RANGES)
+    def test_a_crlf_file_takes_the_head_only_route(self, tmp_path, ranges):
+        values = tail_and_bulk(3000, seed=40 + ranges)
+        lf = write_values(tmp_path, values)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        want = self.spied(tmp_path, lf, values, ranges, "lambda-var")
+        report = self.spied(tmp_path, crlf, values, ranges, "lambda-var")
+        assert report["inputs"].pop("data_digest") != want["inputs"].pop("data_digest")
+        assert report["inputs"].pop("data") == "crlf.csv"
+        want["inputs"].pop("data")
+        assert report == want
 
     @pytest.mark.parametrize("ranges", RANGES)
     def test_completing_parses_each_deferred_span_once_through_map_chunks(

@@ -8,6 +8,7 @@ grammars that mix the shapes float() reads with those it refuses or reads
 as non-finite; the pivots lie in (-1, 0), at integers and down to -10^6.
 """
 
+import hashlib
 import math
 import random
 from itertools import chain
@@ -49,15 +50,16 @@ def strict(line: str) -> bool:
 
 @pytest.mark.parametrize("line", [
     "0", "-0", "5.", "-5.", ".5", "-.5", "-002.5", "1.5E-7", "1.5e-07", "-9e-999", "0.0e-0",
-    "1" + "0" * 307, "-" + "9" * 308 + "." + "9" * 400, "0." + "1" * 500,
+    "1" + "0" * 307, "-" + "9" * 308 + "." + "9" * 400, "0." + "1" * 500, "3.25\r",
 ])
 def test_the_proof_takes_these_shapes(line):
     assert strict(line)
 
 
 @pytest.mark.parametrize("line", [
-    "1e+20", "1e20", "+2.5", "3.25\r", " 1", "1 ", "1_0", "inf", "-nan", "-", ".", "-.", "e-5",
-    "1.5e-", "1..5", "--1", "1-", "0x10", "٣", "1" + "0" * 308, "-" + "9" * 309 + ".5",
+    "1e+20", "1e20", "+2.5", "\r", "3\r.25", "3.25\r\r", " 1", "1 ", "1_0", "inf", "-nan", "-",
+    ".", "-.", "e-5", "1.5e-", "1..5", "--1", "1-", "0x10", "٣", "1" + "0" * 308,
+    "-" + "9" * 309 + ".5",
 ])
 def test_the_proof_refuses_these_shapes(line):
     assert not strict(line)
@@ -67,6 +69,20 @@ def test_the_proof_refuses_these_shapes(line):
 def test_a_strict_line_is_a_finite_float(line):
     if strict(line):
         assert math.isfinite(float(line))
+
+
+@given(st.lists(st.builds("{}{}".format, st.one_of(NUMBERS, st.floats(-1e9, 1e9).map(repr),
+                                                 st.just("")),
+                          st.sampled_from(["", "\r"])), max_size=8),
+       st.booleans())
+def test_a_strict_range_reads_as_the_line_loop_reads_it(lines, final_newline):
+    """Each line the proof takes, CRLF endings among them, is the same
+    finite float through float() and through the line loop."""
+    data = ("\n".join(lines) + "\n" * final_newline).encode()
+    if cli._strict_count(data, 0, len(data)):
+        floats = [float(line) for line in data.split(b"\n") if line]
+        assert all(map(math.isfinite, floats))
+        assert repr(floats) == repr(cli._parse_lines("data.csv", cli._text(data)))
 
 
 @given(st.lists(st.one_of(NUMBERS, st.just("")), max_size=8), st.booleans())
@@ -122,7 +138,7 @@ def test_a_line_that_rounds_up_to_an_integer_pivot_is_a_candidate():
 
 # ---------- the ranges of a file ----------
 
-BROKEN = ["1e+20", "+2.5", "3.25\r", "1" + "0" * 308, " 4", "nan"]
+BROKEN = ["1e+20", "+2.5", "3.25 ", "1" + "0" * 308, " 4", "nan"]
 
 
 def shaped(rng, x: float) -> str:
@@ -166,7 +182,7 @@ def test_each_range_count_gives_the_line_loops_curve(tmp_path_factory, seed, ran
     with pytest.MonkeyPatch.context() as mp:
         split_into_ranges(mp, ranges)
         with open(path, "rb") as fh:
-            parts = cli._read_regular(fh.fileno(), None, True)
+            parts = cli._read_regular(fh.fileno(), hashlib.sha256(), True)
         assert_no_child_left()
         if "nan" in broken:
             assert not all(finite for _, _, finite, _ in parts)
