@@ -29,10 +29,11 @@ from lambdavar import (
     value_at_risk,
     worst_case,
 )
-from lambdavar import _fork, cli
+from lambdavar import _fork, _reader, cli
+from lambdavar._reader import parse_distribution
 from lambdavar.checks import dy
 from lambdavar.curves import _LazyRC, _sample_columns
-from lambdavar.cli import REPORT_SCHEMA, main, parse_distribution, parse_profile, read_csv_samples
+from lambdavar.cli import REPORT_SCHEMA, main, parse_profile, read_csv_samples
 
 try:
     import jsonschema
@@ -684,7 +685,7 @@ class TestFlagsBeforeData:
         def refuse(path):
             raise AssertionError(f"read {path} before checking the flags")
 
-        monkeypatch.setattr(cli, "_load_data", refuse)
+        monkeypatch.setattr(_reader, "_load_data", refuse)
         code, out, err = run_cli(capsys, *argv, "--data", "missing.csv")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -782,7 +783,7 @@ def load_outcome(path):
     """The repr of _load_data's curve of path, or the error; its digest must
     be of the file's bytes."""
     try:
-        p, digest = cli._load_data(str(path))
+        p, digest = _reader._load_data(str(path))
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
     assert digest == "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -842,7 +843,7 @@ class TestStreamingCsv:
         def refuse(path, lines):
             raise AssertionError("the line-by-line parse ran")
 
-        monkeypatch.setattr(cli, "_parse_lines", refuse)
+        monkeypatch.setattr(_reader, "_parse_lines", refuse)
         path = tmp_path / "data.csv"
         path.write_bytes(data)
         assert load_outcome(path) == repr(from_samples([1.0, -2.5]))
@@ -857,10 +858,8 @@ class TestStreamingCsv:
     BLANK = [b"value\n1\n-2.5\n\n", b"value\n1\n\n-2.5\n", b"value\n\n1\n-2.5\n",
              b"\n1\n\n\n-2.5\n\n", b"value\r\n1\r\n-2.5\n\n"]
 
-    @pytest.mark.parametrize("block", [1 << 20, 8])
     @pytest.mark.parametrize("data", BLANK)
-    def test_empty_lines_never_reach_the_line_loop(self, tmp_path, monkeypatch, data, block):
-        monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
+    def test_empty_lines_never_reach_the_line_loop(self, tmp_path, monkeypatch, data):
         self.test_clean_files_never_reach_the_line_loop(tmp_path, monkeypatch, data)
 
     @pytest.mark.parametrize("data", BLANK)
@@ -882,14 +881,14 @@ class TestStreamingCsv:
         ],
     )
     def test_other_refused_blocks_still_reach_the_line_loop(self, tmp_path, monkeypatch, data):
-        parse_lines = cli._parse_lines
+        parse_lines = _reader._parse_lines
         ran = []
 
         def counted(path, text):
             ran.append(path)
             return parse_lines(path, text)
 
-        monkeypatch.setattr(cli, "_parse_lines", counted)
+        monkeypatch.setattr(_reader, "_parse_lines", counted)
         path = tmp_path / "data.csv"
         path.write_bytes(data)
         assert load_outcome(path) == csv_outcome(read_csv_split, path)
@@ -901,7 +900,7 @@ class TestStreamingCsv:
         data = b"value\n1\n\n2\n"
         writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
         writer.start()
-        got, digest = cli._load_data(str(path))
+        got, digest = _reader._load_data(str(path))
         writer.join(timeout=10)
         assert not writer.is_alive()
         plain = tmp_path / "plain.csv"
@@ -924,7 +923,7 @@ def split_into_ranges(monkeypatch, cpus=4):
             forks.append(pid)
         return pid
 
-    monkeypatch.setattr(cli, "_RANGE_BYTES", 1)
+    monkeypatch.setattr(_reader, "_RANGE_BYTES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(os, "fork", counted_fork)
@@ -1012,8 +1011,8 @@ class TestRangeReader:
     def test_a_failed_worker_sends_the_file_to_the_line_loop(self, tmp_path, monkeypatch):
         forks = split_into_ranges(monkeypatch)
         caller = os.getpid()
-        parse_range = cli._parse_range
-        parse_lines = cli._parse_lines
+        parse_range = _reader._parse_range
+        parse_lines = _reader._parse_lines
         ran = []
         failed, failing_now = os.pipe()
         wait_to_claim(monkeypatch, "caller", failed)  # a worker takes a range and fails first
@@ -1028,8 +1027,8 @@ class TestRangeReader:
             ran.append(path)
             return parse_lines(path, text)
 
-        monkeypatch.setattr(cli, "_parse_range", failing)
-        monkeypatch.setattr(cli, "_parse_lines", counted)
+        monkeypatch.setattr(_reader, "_parse_range", failing)
+        monkeypatch.setattr(_reader, "_parse_lines", counted)
         for data in (b"value\n1\n-0.0\n3\n4e5\n", b"1\n2\n\n3\n4\n", b"1\n2\n3\nnope\n"):
             path = tmp_path / "data.csv"
             path.write_bytes(data)
@@ -1051,7 +1050,7 @@ class TestRangeReader:
         path.write_bytes(b"nope\n1\n2\n3\n4\n5\n")
         started = time.monotonic()
         with pytest.raises(ValueError, match=r"data.csv:1: not a number: 'nope'"):
-            cli._load_data(str(path))
+            _reader._load_data(str(path))
         assert time.monotonic() - started < 30
         assert forks
         assert_no_child_left()
@@ -1104,7 +1103,7 @@ class TestNoFork:
         try:
             writer.stdin.write(self.DATA)
             writer.stdin.close()
-            p, digest = cli._load_data(str(fifo))
+            p, digest = _reader._load_data(str(fifo))
             assert repr(p) == expected
             assert digest == "sha256:" + hashlib.sha256(self.DATA).hexdigest()
         finally:
@@ -1130,7 +1129,7 @@ def test_one_cpu_and_all_cpus_print_the_same(tmp_path):
     (tmp_path / "data.csv").write_text(
         "value\n" + "".join(f"{rng.gauss(0.0, 1.0)!r}\n" for _ in range(300_000))
     )
-    assert (tmp_path / "data.csv").stat().st_size >= 2 * cli._RANGE_BYTES
+    assert (tmp_path / "data.csv").stat().st_size >= 2 * _reader._RANGE_BYTES
     (tmp_path / "step.json").write_text(
         json.dumps({"type": "step", "lambda_min": 0.01, "lambda_max": 0.05, "threshold": -1.0})
     )
@@ -1215,7 +1214,7 @@ def csv_of_two_ranges(tmp_path_factory):
     rng = random.Random(12)
     path = tmp_path_factory.mktemp("big") / "data.csv"
     path.write_text("value\n" + "".join(f"{rng.gauss(0.0, 1.0)!r}\n" for _ in range(225_000)))
-    assert path.stat().st_size >= max(4 << 20, 2 * cli._RANGE_BYTES)
+    assert path.stat().st_size >= max(4 << 20, 2 * _reader._RANGE_BYTES)
     return path
 
 
@@ -1255,10 +1254,11 @@ class TestDigestOnEveryRoute:
                 path.write_bytes(self.DATA[route])
             data = path.read_bytes()
             forks = split_into_ranges(monkeypatch, cpus=2)
-            monkeypatch.setattr(cli, "_RANGE_BYTES", 2 << 20)  # two CPUs, real range sizes
+            monkeypatch.setattr(_reader, "_RANGE_BYTES", 2 << 20)  # two CPUs, real range sizes
             ran = []
-            parse_lines = cli._parse_lines
-            monkeypatch.setattr(cli, "_parse_lines", lambda *a: ran.append(a) or parse_lines(*a))
+            parse_lines = _reader._parse_lines
+            monkeypatch.setattr(_reader, "_parse_lines",
+                                lambda *a: ran.append(a) or parse_lines(*a))
             monkeypatch.chdir(tmp_path)
             code, out, err = run_cli(capsys, command, "--data", str(path), *rest)
             assert (code, err) == (0, "")
@@ -1278,7 +1278,7 @@ def test_digest_stops_at_the_size_the_ranges_were_cut_from(tmp_path, monkeypatch
     data = b"value\n" + b"".join(b"%r\n" % v for v in values)
     path = tmp_path / "data.csv"
     path.write_bytes(data)
-    pivot = cli._pivot
+    pivot = _reader._pivot
     appended = []
 
     def appending(data, start, end):  # after the read, before the ranges are parsed
@@ -1286,8 +1286,8 @@ def test_digest_stops_at_the_size_the_ranges_were_cut_from(tmp_path, monkeypatch
             appended.append(fh.write(b"99\n"))
         return pivot(data, start, end)
 
-    monkeypatch.setattr(cli, "_pivot", appending)
-    p, digest = cli._load_data(str(path))
+    monkeypatch.setattr(_reader, "_pivot", appending)
+    p, digest = _reader._load_data(str(path))
     assert appended and path.read_bytes() == data + b"99\n"
     assert digest == "sha256:" + hashlib.sha256(data).hexdigest()
     assert repr(p) == repr(from_samples(values))
@@ -1333,7 +1333,7 @@ def write_values(tmp_path, values, name="data.csv"):
 
 def file_pivot(path):
     data = path.read_bytes()
-    return cli._pivot(data, len(b"value\n"), len(data))
+    return _reader._pivot(data, len(b"value\n"), len(data))
 
 
 def range_count(path, ranges):
@@ -1355,7 +1355,7 @@ class TestRangeBuild:
         path = write_values(tmp_path, values)
         assert file_pivot(path) == 0.0  # tied -0.0 and 0.0 at the pivot, in every range
         forks = split_into_ranges(monkeypatch, ranges)
-        p, _ = cli._load_data(str(path))
+        p, _ = _reader._load_data(str(path))
         assert len(forks) == range_count(path, ranges) - 1
         assert_no_child_left()
         assert (type(p.payload) is _LazyRC) is (n >= 1024)
@@ -1370,7 +1370,7 @@ class TestRangeBuild:
         values[2700::7] = [0.0] * len(values[2700::7])
         path = write_values(tmp_path, values)
         forks = split_into_ranges(monkeypatch, ranges)
-        p, _ = cli._load_data(str(path))
+        p, _ = _reader._load_data(str(path))
         assert len(forks) == ranges - 1
         assert repr(p) == repr(from_samples(values))
         assert repr(p.payload.xs[0]) == "-0.0"
@@ -1386,7 +1386,7 @@ class TestRangeBuild:
         for ranges in RANGES:
             with pytest.MonkeyPatch.context() as mp:
                 split_into_ranges(mp, ranges)
-                prefix = vars(cli._load_data(str(path))[0].payload)["_prefix"]
+                prefix = vars(_reader._load_data(str(path))[0].payload)["_prefix"]
             prefixes.add(repr((prefix.xs, prefix.lefts, prefix.values)))
             assert_no_child_left()
         assert prefixes == {want}
@@ -1398,8 +1398,8 @@ class TestRangeBuild:
         values = zeros_at_the_pivot(3000, seed=4)
         path = write_values(tmp_path, values)
         split_into_ranges(monkeypatch, ranges)
-        monkeypatch.setattr(cli, "_pivot", lambda data, start, end: pivot)
-        p, _ = cli._load_data(str(path))
+        monkeypatch.setattr(_reader, "_pivot", lambda data, start, end: pivot)
+        p, _ = _reader._load_data(str(path))
         assert type(p.payload) is not _LazyRC
         assert repr(p) == repr(from_samples(values))
         assert_no_child_left()
@@ -1430,7 +1430,7 @@ class TestRangeBuild:
                                                        values):
         path = write_values(tmp_path, values)
         split_into_ranges(monkeypatch, ranges)
-        p, _ = cli._load_data(str(path))
+        p, _ = _reader._load_data(str(path))
         assert repr(p) == repr(from_samples(values))
         assert_no_child_left()
 
@@ -1440,7 +1440,7 @@ class TestRangeBuild:
         path = write_values(tmp_path, values)
         split_into_ranges(monkeypatch, ranges)
         caller = os.getpid()
-        parse_range = cli._parse_range
+        parse_range = _reader._parse_range
         here = []
 
         def recorded(data, start, end):
@@ -1448,10 +1448,10 @@ class TestRangeBuild:
                 here.append((start, end))
             return parse_range(data, start, end)
 
-        monkeypatch.setattr(cli, "_parse_range", recorded)
-        p, _ = cli._load_data(str(path))
+        monkeypatch.setattr(_reader, "_parse_range", recorded)
+        p, _ = _reader._load_data(str(path))
         loaded = []
-        monkeypatch.setattr(cli, "marshal", SimpleNamespace(
+        monkeypatch.setattr(_reader, "marshal", SimpleNamespace(
             loads=lambda blob: loaded.append(blob) or marshal.loads(blob)))
         profile = step_profile(0.01, 0.05, -1.0)
         report = lambda_var(p, profile)
@@ -1475,17 +1475,17 @@ class TestRangeBuild:
             wait_to_claim(monkeypatch, "workers", signal)
         else:  # this process takes no range before a worker takes the last one
             wait_to_claim(monkeypatch, "caller", signal)
-            parse_range = cli._parse_range
+            parse_range = _reader._parse_range
 
             def parse_range_and_tell(data, start, end):
                 if end == size:
                     os.write(signalling, b"x")
                 return parse_range(data, start, end)
 
-            monkeypatch.setattr(cli, "_parse_range", parse_range_and_tell)
+            monkeypatch.setattr(_reader, "_parse_range", parse_range_and_tell)
         started = time.monotonic()
         with pytest.raises(ValueError, match=r"data.csv:3001: not a number: 'nope'$"):
-            cli._load_data(str(path))
+            _reader._load_data(str(path))
         assert time.monotonic() - started < 30
         assert len(forks) == 2
         assert_no_child_left()
@@ -1499,18 +1499,18 @@ class TestRangeBuild:
         path.write_text(corpus.inputs()[corpus.RANGED])
         want = repr(from_samples(read_csv_samples(str(path))))
         forks = split_into_ranges(monkeypatch, cpus=3)
-        monkeypatch.setattr(cli, "_RANGE_BYTES", 2 << 20)  # real range sizes: four ranges
-        parse_range = cli._parse_range
+        monkeypatch.setattr(_reader, "_RANGE_BYTES", 2 << 20)  # real range sizes: four ranges
+        parse_range = _reader._parse_range
         reads = []
 
         def delayed(data, start, end):  # up to 20 ms, drawn for each read and range
             time.sleep(random.Random(f"{len(reads)} {start}").random() / 50)
             return parse_range(data, start, end)
 
-        monkeypatch.setattr(cli, "_parse_range", delayed)
+        monkeypatch.setattr(_reader, "_parse_range", delayed)
         curves = set()
         while len(reads) < 20:
-            curves.add(repr(cli._load_data(str(path))[0]))
+            curves.add(repr(_reader._load_data(str(path))[0]))
             reads.append(1)
             assert_no_child_left()
         assert curves == {want}
@@ -1524,12 +1524,12 @@ class TestRangeBuild:
         range keeps a head, and the curve is built from all the samples."""
         values = zeros_at_the_pivot(n, seed=40 + n)
         path = tmp_path / "data.csv"
-        path.write_text("value\n" + "".join(f"{v!r}{'0' * cli._LINE_BYTES}\n" for v in values))
+        path.write_text("value\n" + "".join(f"{v!r}{'0' * _reader._LINE_BYTES}\n" for v in values))
         assert file_pivot(path) is None
         (tmp_path / "step.json").write_text(json.dumps(
             {"type": "step", "lambda_min": 0.01, "lambda_max": 0.05, "threshold": -1.0}))
         forks = split_into_ranges(monkeypatch, ranges)
-        p, _ = cli._load_data(str(path))
+        p, _ = _reader._load_data(str(path))
         assert len(forks) == ranges - 1
         assert (type(p.payload) is _LazyRC) is (n >= 1024)
         assert repr(p) == repr(from_samples(values))
@@ -1562,7 +1562,7 @@ def test_short_preads_read_the_whole_file(tmp_path, monkeypatch, ranges):
     calls = []
     data_file_preads(monkeypatch, path, lambda n, offset: calls.append(offset) or 3000)
     forks = split_into_ranges(monkeypatch, ranges)
-    p, digest = cli._load_data(str(path))
+    p, digest = _reader._load_data(str(path))
     assert len(calls) == -(-len(data) // 3000)  # a few KiB per call, up to the size
     assert digest == "sha256:" + hashlib.sha256(data).hexdigest()
     assert repr(p) == repr(from_samples(values))
@@ -1574,9 +1574,9 @@ def test_a_file_that_reads_short_goes_to_the_line_loop(tmp_path, monkeypatch):
     path = write_values(tmp_path, zeros_at_the_pivot(3000, seed=51))
     want = csv_outcome(read_csv_samples, path)
     data_file_preads(monkeypatch, path, lambda n, offset: 0 if offset else 3000)  # it "shrank"
-    parse_lines = cli._parse_lines
+    parse_lines = _reader._parse_lines
     ran = []
-    monkeypatch.setattr(cli, "_parse_lines", lambda *a: ran.append(a[0]) or parse_lines(*a))
+    monkeypatch.setattr(_reader, "_parse_lines", lambda *a: ran.append(a[0]) or parse_lines(*a))
     assert load_outcome(path) == want  # and the digest is of the whole file
     assert ran == [str(path)]
 
@@ -1599,10 +1599,10 @@ def tail_and_bulk(n, seed):
 # a curve raise.
 SPY = textwrap.dedent("""
     import os, sys
-    from lambdavar import cli, curves
+    from lambdavar import _reader, cli, curves
 
     log = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND)
-    real, pivot = float, cli._pivot
+    real, pivot = float, _reader._pivot
 
     def logged(text):
         if isinstance(text, bytes):
@@ -1610,18 +1610,18 @@ SPY = textwrap.dedent("""
         return real(text)
 
     def unlogged_pivot(*args):
-        cli.float = real
+        _reader.float = real
         try:
             return pivot(*args)
         finally:
-            cli.float = logged
+            _reader.float = logged
 
     def refuse(*args):
         raise AssertionError("the float route, the line loop or a completion ran")
 
     os.sched_getaffinity = lambda pid: set(range(int(sys.argv[2])))
-    cli._RANGE_BYTES, cli.float, cli._pivot = 1, logged, unlogged_pivot
-    cli._parse_range = cli._parse_lines = curves._LazyRC._complete = refuse
+    _reader._RANGE_BYTES, _reader.float, _reader._pivot = 1, logged, unlogged_pivot
+    _reader._parse_range = _reader._parse_lines = curves._LazyRC._complete = refuse
     sys.exit(cli.main(sys.argv[3:]))
 """)
 
@@ -1647,7 +1647,7 @@ class TestHeadOnly:
         """compute's report on path under SPY, which must convert every line
         at or below the file's pivot and no line of the bulk."""
         data = path.read_bytes()
-        pivot = cli._pivot(data, data.index(b"\n") + 1, len(data))
+        pivot = _reader._pivot(data, data.index(b"\n") + 1, len(data))
         assert pivot < -4
         (tmp_path / "step.json").write_text(json.dumps(
             {"type": "step", "lambda_min": 0.01, "lambda_max": 0.05, "threshold": -1.0}))
@@ -1686,7 +1686,7 @@ class TestHeadOnly:
         path = write_values(tmp_path, values)
         forks = split_into_ranges(monkeypatch, ranges)
         log = os.open(tmp_path / "spans.log", os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-        parse_range, map_chunks = cli._parse_range, cli.map_chunks
+        parse_range, map_chunks = _reader._parse_range, _reader.map_chunks
         calls = []
 
         def logged(data, start, end):  # in any process
@@ -1699,10 +1699,10 @@ class TestHeadOnly:
             calls.append((list(chunks), len(forks) - before))
             return result
 
-        monkeypatch.setattr(cli, "_parse_range", logged)
-        monkeypatch.setattr(cli, "map_chunks", recorded)
+        monkeypatch.setattr(_reader, "_parse_range", logged)
+        monkeypatch.setattr(_reader, "map_chunks", recorded)
         try:
-            p, _ = cli._load_data(str(path), head_only=True)  # the suite completes a twin here
+            p, _ = _reader._load_data(str(path), head_only=True)  # the suite completes a twin here
             assert type(p.payload) is _LazyRC
             assert repr(p) == repr(from_samples(values))  # and the curve itself completes
         finally:
@@ -1719,7 +1719,7 @@ class TestHeadOnly:
         values = tail_and_bulk(3000, seed=20 + ranges)
         path = write_values(tmp_path, values)
         split_into_ranges(monkeypatch, ranges)
-        p, _ = cli._load_data(str(path), head_only=True)
+        p, _ = _reader._load_data(str(path), head_only=True)
         profile = step_profile(0.05, 0.1, -1.0)  # F reaches 0.05 past the 2 % rank
         assert repr(lambda_var(p, profile)) == repr(lambda_var(from_samples(values), profile))
         assert type(p.payload) is not _LazyRC
@@ -1730,8 +1730,8 @@ class TestHeadOnly:
         path = write_values(tmp_path, values)
         assert file_pivot(path) == 0.0
         split_into_ranges(monkeypatch, 1)  # here, where the refusal raises
-        monkeypatch.setattr(cli, "_strict_count",
+        monkeypatch.setattr(_reader, "_strict_count",
                             lambda *span: pytest.fail("a range took the shape proof"))
-        p, _ = cli._load_data(str(path), head_only=True)
+        p, _ = _reader._load_data(str(path), head_only=True)
         assert repr(p) == repr(from_samples(values))
         assert_no_child_left()

@@ -58,22 +58,22 @@ def test_every_command_prints_the_recorded_bits(inputs, monkeypatch):
 
 
 def test_the_ranged_csv_takes_two_ranges(inputs):
-    from lambdavar import cli
+    from lambdavar import _reader
 
     body = (inputs[0] / corpus.RANGED).read_bytes().partition(b"\n")[2]
-    assert len(body) >= 2 * cli._RANGE_BYTES
+    assert len(body) >= 2 * _reader._RANGE_BYTES
 
 
 def test_the_shapes_csv_takes_four_ranges_on_two_cpus(inputs):
     """Of which the second and the last take the float route."""
-    from lambdavar import cli
+    from lambdavar import _reader
 
     data = (inputs[0] / corpus.SHAPES).read_bytes()
     skip = data.index(b"\n") + 1
     body = len(data) - skip
-    assert body // cli._RANGE_BYTES == 2 and body // cli._BLOCK_BYTES == 4
+    assert body // _reader._RANGE_BYTES == 2 and body // _reader._BLOCK_BYTES == 4
     assert data.count(b"\n") < 10 ** 5  # few lines: every curve is revalidated in tier-1
-    cuts = [skip, *(cli._line_start(data, skip + body * k // 4) for k in (1, 2, 3)), len(data)]
-    counts = [cli._strict_count(data, *span) for span in zip(cuts, cuts[1:])]
+    cuts = [skip, *(_reader._line_start(data, skip + body * k // 4) for k in (1, 2, 3)), len(data)]
+    counts = [_reader._strict_count(data, *span) for span in zip(cuts, cuts[1:])]
     assert [count is None for count in counts] == [False, True, False, True]
-    assert cli._pivot(data, skip, len(data)) == -3.0
+    assert _reader._pivot(data, skip, len(data)) == -3.0

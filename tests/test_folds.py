@@ -365,10 +365,10 @@ def test_check_monotone_on_seeded_chains():
 
 THREADS = textwrap.dedent("""
     import marshal, os, random, sys, threading
-    from lambdavar import cli
+    from lambdavar import _reader
     from lambdavar.curves import MonotoneRC, _from_head, _sample_columns, from_samples
 
-    parse_range, parsed, forks = cli._parse_range, [], []
+    parse_range, parsed, forks = _reader._parse_range, [], []
 
     def counted(data, start, end):
         parsed.append((start, end))
@@ -378,7 +378,7 @@ THREADS = textwrap.dedent("""
         forks.append(1)
         raise OSError("a fork while threads are alive")
 
-    cli._parse_range, os.fork = counted, no_fork
+    _reader._parse_range, os.fork = counted, no_fork
 
     def ranged(xs):
         # as the CSV reader builds it: a range parsed here, a worker's marshal
@@ -387,7 +387,7 @@ THREADS = textwrap.dedent("""
         cut = data.index(b"\\n", len(data) // 2) + 1
         pivot = sorted(xs)[len(xs) // 50]
         loaders = [lambda blob=marshal.dumps(xs[1500:3500]): marshal.loads(blob),
-                   *cli._deferred(data, [(0, cut), (cut, len(data))])]
+                   *_reader._deferred(data, [(0, cut), (cut, len(data))])]
         return _from_head([x for x in xs if x <= pivot], len(xs), [xs[:1500], *loaders])
 
     sys.setswitchinterval(1e-6)

@@ -23,7 +23,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lambdavar import Cdf, LossProfile
-from lambdavar.cli import REPORT_SCHEMA, main, parse_distribution, parse_profile
+from lambdavar._reader import parse_distribution
+from lambdavar.cli import REPORT_SCHEMA, main, parse_profile
 
 HUGE = st.sampled_from([10**400, -(10**400), 2**1024])
 WEIGHTS = st.sampled_from([0.0, 0.3, 1.0])

@@ -6,16 +6,19 @@ the tests here pin that table's names, resolve each through ``from lambdavar
 import``, and check in fresh interpreters that ``compute``, ``duality`` and
 ``plot`` never load ``oracles`` or ``checks``, that no command loads
 ``dataclasses``, and that only the suites that use them load ``oracles``,
-only the commands that digest a file load ``hashlib``, only the commands
-that integrate against a test function load ``dual``, and a small CSV loads
-no ``array``.  ``os.fork`` and ``os._exit`` are called in one module only,
-and both entry points of the program end through ``cli.run``.  The demos
-run end to end.
+only the commands that read data load ``_reader`` and ``hashlib``, only
+the commands that integrate against a test function load ``dual``, a small
+CSV loads no ``array``, and ``python -m lambdavar.cli`` never imports
+``lambdavar.cli`` a second time.  ``os.fork`` and ``os._exit`` are called in
+one module only, and both entry points of the program end through
+``cli.run``.  The demos run end to end, and each test that the CI workflow
+names exists.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +29,8 @@ import lambdavar
 
 SRC = Path(lambdavar.__file__).resolve().parent.parent
 PACKAGE = SRC / "lambdavar"
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 PUBLIC_NAMES = [
     "AcceptanceFamily",
@@ -94,7 +98,7 @@ ORACLE_NAMES = {
     "truncation_candidates",
 }
 
-RUNTIME_MODULES = ["curves", "profiles", "measures", "dual", "cli"]
+RUNTIME_MODULES = ["curves", "profiles", "measures", "dual", "_reader", "cli"]
 
 
 def python(cwd, *args) -> subprocess.CompletedProcess:
@@ -211,13 +215,18 @@ ORACLE_SUITES = {"check-translation", "check-duality-sandwich"}
 DUAL_COMMANDS = {"compute-entropic", "compute-certainty-eq", "duality", *ORACLE_SUITES}
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_each_command_loads_only_what_it_runs(command, tmp_path):
-    """The modules a command adds to those of a bare interpreter."""
+def write_inputs(tmp_path):
+    """The data.csv and step.json that COMMANDS read."""
     (tmp_path / "data.csv").write_text("value\n-10\n-5\n0\n5\n")
     (tmp_path / "step.json").write_text(
         json.dumps({"type": "step", "lambda_min": 0.1, "lambda_max": 0.3, "threshold": 0.0})
     )
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_loads_only_what_it_runs(command, tmp_path):
+    """The modules a command adds to those of a bare interpreter."""
+    write_inputs(tmp_path)
     proc = python(
         tmp_path,
         "-c",
@@ -237,8 +246,23 @@ def test_each_command_loads_only_what_it_runs(command, tmp_path):
     assert "array" not in added  # nothing loads it: CSV workers send floats by marshal
     assert ("lambdavar.oracles" in added) == (command in ORACLE_SUITES)
     assert ("lambdavar.dual" in added) == (command in DUAL_COMMANDS)
+    assert ("lambdavar._reader" in added) == (not command.startswith("check-"))
     if command.startswith("check-"):
         assert "hashlib" not in added
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_the_running_module_is_not_imported_again(command, tmp_path):
+    """Under ``python -m lambdavar.cli`` the running module is __main__, so an
+    import of lambdavar.cli, from the reader say, would compile and run cli.py
+    a second time."""
+    write_inputs(tmp_path)
+    proc = python(tmp_path, "-X", "importtime", "-m", "lambdavar.cli", *COMMANDS[command])
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "lambdavar" in imported
+    assert "lambdavar.cli" not in imported
 
 
 def test_no_module_imports_dataclasses_at_module_level():
@@ -303,7 +327,7 @@ def test_both_entry_points_end_through_run():
         pytest.skip("tomllib is new in Python 3.11")
     import tomllib
 
-    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+    with open(ROOT / "pyproject.toml", "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts == {"lambdavar": "lambdavar.cli:run"}
 
@@ -319,6 +343,19 @@ def test_no_module_reads_the_data_again_to_hash_it():
                 users.add(path.stem)
     assert users == set()
     from lambdavar.cli import file_digest  # noqa: F401  kept for those callers
+
+
+def test_each_test_the_workflow_names_exists():
+    """The CI workflow reruns some tests by node id; a test that moves or is
+    renamed must take its id along, or the rerun quietly shrinks."""
+    ids = re.findall(r"\b(tests/\w+\.py)(?:::(\w+))?", (ROOT / ".github/workflows/tier1.yml")
+                     .read_text(encoding="utf-8"))
+    assert ("tests/test_fork.py", "") in ids
+    for path, name in ids:
+        tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+        assert not name or name in defined, f"{path}::{name}"
 
 
 @pytest.mark.parametrize("demo", ["risk_profiles.py", "dual_bounds.py"])

@@ -1,11 +1,11 @@
 """The head-only CSV read against float(): the shape proof, the candidate
 lines, and the ranges that a curve is built from.
 
-``cli._strict_count`` accepts a range from the shapes of its lines alone,
-each ASCII digit written 9, and head-only ``compute`` then calls float()
-only on the lines that ``cli._candidates`` finds.  The lines are drawn from
-grammars that mix the shapes float() reads with those it refuses or reads
-as non-finite; the pivots lie in (-1, 0), at integers and down to -10^6.
+``_reader._strict_count`` accepts a range from the shapes of its lines
+alone, each ASCII digit written 9, and head-only ``compute`` then calls
+float() only on the lines that ``_reader._candidates`` finds.  The lines are
+drawn from grammars that mix the shapes float() reads with those it refuses
+or reads as non-finite; the pivots lie in (-1, 0), at integers and down to -10^6.
 """
 
 import hashlib
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambdavar import cli, from_samples
+from lambdavar import _reader, from_samples
 from test_cli import assert_no_child_left, file_pivot, split_into_ranges
 
 DIGITS = st.text("0123456789", min_size=1, max_size=25)
@@ -45,7 +45,7 @@ LINES = st.one_of(NUMBERS, st.lists(TOKENS, min_size=1, max_size=6).map("".join)
 def strict(line: str) -> bool:
     """line, which holds no newline, is one number that the proof takes."""
     data = line.encode("utf-8")
-    return cli._strict_count(data, 0, len(data)) == 1
+    return _reader._strict_count(data, 0, len(data)) == 1
 
 
 @pytest.mark.parametrize("line", [
@@ -79,16 +79,16 @@ def test_a_strict_range_reads_as_the_line_loop_reads_it(lines, final_newline):
     """Each line the proof takes, CRLF endings among them, is the same
     finite float through float() and through the line loop."""
     data = ("\n".join(lines) + "\n" * final_newline).encode()
-    if cli._strict_count(data, 0, len(data)):
+    if _reader._strict_count(data, 0, len(data)):
         floats = [float(line) for line in data.split(b"\n") if line]
         assert all(map(math.isfinite, floats))
-        assert repr(floats) == repr(cli._parse_lines("data.csv", cli._text(data)))
+        assert repr(floats) == repr(_reader._parse_lines("data.csv", _reader._text(data)))
 
 
 @given(st.lists(st.one_of(NUMBERS, st.just("")), max_size=8), st.booleans())
 def test_a_strict_range_counts_its_lines(lines, final_newline):
     data = ("\n".join(lines) + "\n" * final_newline).encode()
-    count = cli._strict_count(data, 0, len(data))
+    count = _reader._strict_count(data, 0, len(data))
     if count is not None:
         parsed = [float(line) for line in lines if line]
         assert count == len(parsed) and all(map(math.isfinite, parsed))
@@ -123,7 +123,7 @@ def test_the_candidates_hold_every_line_at_or_below_the_pivot(pivot, data):
     lines = list(filter(strict, lines))
     want = [line.encode() for line in lines if float(line) <= pivot]
     body = "".join(f"{line}\n" for line in lines).encode()
-    candidates = cli._candidates(pivot)
+    candidates = _reader._candidates(pivot)
     for text, start in ((body, 0), (b"value\n" + body, 6)):  # at the start of a file, or not
         found = [line.strip() for line in candidates(text, start, len(text))]
         assert [line for line in found if float(line) <= pivot] == want
@@ -132,7 +132,7 @@ def test_the_candidates_hold_every_line_at_or_below_the_pivot(pivot, data):
 def test_a_line_that_rounds_up_to_an_integer_pivot_is_a_candidate():
     body = b"-2.99999999999999999999\n-2.5\n-3\n"
     assert float(b"-2.99999999999999999999") == -3.0
-    found = cli._candidates(-3.0)(body, 0, len(body))
+    found = _reader._candidates(-3.0)(body, 0, len(body))
     assert [line.strip() for line in found] == [b"-2.99999999999999999999", b"-2.5", b"-3"]
 
 
@@ -177,12 +177,12 @@ def test_each_range_count_gives_the_line_loops_curve(tmp_path_factory, seed, ran
     text = "value\n" + "\n".join(lines) + "\n" * rng.randint(0, 1)
     path = tmp_path_factory.mktemp("shapes") / "data.csv"
     path.write_bytes(text.encode())
-    samples = cli._parse_lines(str(path), cli._text(text.encode()))
+    samples = _reader._parse_lines(str(path), _reader._text(text.encode()))
     pivot = file_pivot(path)
     with pytest.MonkeyPatch.context() as mp:
         split_into_ranges(mp, ranges)
         with open(path, "rb") as fh:
-            parts = cli._read_regular(fh.fileno(), hashlib.sha256(), True)
+            parts = _reader._read_regular(fh.fileno(), hashlib.sha256(), True)
         assert_no_child_left()
         if "nan" in broken:
             assert not all(finite for _, _, finite, _ in parts)
@@ -191,6 +191,6 @@ def test_each_range_count_gives_the_line_loops_curve(tmp_path_factory, seed, ran
         head = sorted(chain.from_iterable(head for *_, head in parts))
         assert count == len(samples)
         assert repr(head) == repr(sorted(x for x in samples if x <= pivot))
-        curve = cli._from_ranges(parts, count)
+        curve = _reader._from_ranges(parts, count)
         assert repr(curve) == repr(from_samples(samples))  # completes: every range's floats
         assert_no_child_left()
